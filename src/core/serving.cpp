@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <map>
 #include <optional>
-#include <set>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "crypto/bytes.h"
 #include "crypto/drbg.h"
@@ -68,9 +66,9 @@ TrafficObs& traffic_obs() {
   return *o;
 }
 
-// Failover series, registered only when the fault-tolerant serve_trace path
-// actually runs (fault plane attached, retry or hedging on) — faults-off
-// runs must keep their registry exports byte-identical to PR-6 baselines.
+// Failover series, registered at their first event (a crash detection,
+// retry, hedge, re-admission or terminal loss), so fault-free serve_trace
+// runs export none of them.
 struct FailoverObs {
   obs::Counter& detections = obs::Registry::global().counter(
       obs::names::kServingFailoverDetections,
@@ -350,180 +348,6 @@ double ServingNode::classify_stream(const ml::Tensor& image,
   return static_cast<double>(end - start) / 1e9;
 }
 
-std::vector<RequestOutcome> ServingNode::serve_trace(
-    const std::vector<Request>& requests, const BatchWindowConfig& window) {
-  if (window.max_batch < 1) {
-    throw std::invalid_argument("serve_trace: max_batch must be >= 1");
-  }
-  if (window.max_wait_s < 0) {
-    throw std::invalid_argument("serve_trace: max_wait_s must be >= 0");
-  }
-  const auto wait_ns =
-      static_cast<std::uint64_t>(std::llround(window.max_wait_s * 1e9));
-
-  std::vector<RequestOutcome> outcomes;
-  outcomes.reserve(requests.size());
-  traffic_obs().offered.add(requests.size());
-
-  const bool tracing = obs::tracing_enabled();
-  obs::Timeline& tl = obs::Timeline::global();
-  if (tl.enabled()) {
-    // Offered load is bucketed at *client* arrival (before the wire), the
-    // clock the SLO monitor reasons in.
-    for (const Request& r : requests) {
-      tl.record_offered(r.arrival_ns - r.wire_ns);
-    }
-  }
-
-  std::deque<const Request*> pending;
-  std::size_t next = 0;
-
-  // Admission control: requests arriving while the queue is at capacity are
-  // shed immediately (the client gets an instant reject, not a slow miss).
-  auto admit_until = [&](std::uint64_t t) {
-    while (next < requests.size() && requests[next].arrival_ns <= t) {
-      const Request& r = requests[next++];
-      if (window.queue_capacity > 0 &&
-          static_cast<std::int64_t>(pending.size()) >= window.queue_capacity) {
-        RequestOutcome o;
-        o.id = r.id;
-        o.status = RequestStatus::ShedQueueFull;
-        o.arrival_ns = r.arrival_ns;
-        o.node = static_cast<std::int64_t>(ordinal_);
-        outcomes.push_back(o);
-        traffic_obs().shed_queue_full.add();
-        tl.record_shed(r.arrival_ns - r.wire_ns);
-      } else {
-        pending.push_back(&r);
-        if (tracing && r.trace_id != 0) {
-          TraceSites& ts = trace_sites();
-          obs::ScopedLane ql(static_cast<std::uint16_t>(ordinal_),
-                             kQueueLaneTid);
-          ts.tracer.record_flow(ts.flow, r.trace_id, r.arrival_ns - r.wire_ns,
-                                obs::FlowPhase::Start);
-        }
-      }
-    }
-  };
-
-  while (next < requests.size() || !pending.empty()) {
-    if (pending.empty()) {
-      admit_until(requests[next].arrival_ns);
-      continue;
-    }
-    const std::uint64_t head_arrival = pending.front()->arrival_ns;
-    const std::uint64_t lane_free = next_free_ns();
-    std::uint64_t dispatch_at = std::max(lane_free, head_arrival);
-    admit_until(dispatch_at);
-
-    // Batch window: the queue head waits up to `wait_ns` for the batch to
-    // fill; each admitted arrival pushes the launch to its arrival time,
-    // and an unfilled window launches at close.
-    if (static_cast<std::int64_t>(pending.size()) < window.max_batch) {
-      const std::uint64_t close = std::max(dispatch_at, head_arrival + wait_ns);
-      while (static_cast<std::int64_t>(pending.size()) < window.max_batch &&
-             next < requests.size() && requests[next].arrival_ns <= close) {
-        const std::uint64_t t = requests[next].arrival_ns;
-        admit_until(t);
-        dispatch_at = std::max(dispatch_at, t);
-      }
-      if (static_cast<std::int64_t>(pending.size()) < window.max_batch) {
-        dispatch_at = close;
-      }
-      admit_until(dispatch_at);
-    }
-
-    // Pop the batch, shedding requests whose deadline already passed — a
-    // guaranteed SLO miss is not worth a batch slot.
-    std::vector<const Request*> batch;
-    std::vector<const ml::Tensor*> batch_inputs;
-    while (!pending.empty() &&
-           static_cast<std::int64_t>(batch.size()) < window.max_batch) {
-      const Request* r = pending.front();
-      pending.pop_front();
-      if (window.shed_expired && r->deadline_ns != 0 &&
-          r->deadline_ns < dispatch_at) {
-        RequestOutcome o;
-        o.id = r->id;
-        o.status = RequestStatus::ShedExpired;
-        o.arrival_ns = r->arrival_ns;
-        o.node = static_cast<std::int64_t>(ordinal_);
-        outcomes.push_back(o);
-        traffic_obs().shed_expired.add();
-        tl.record_shed(dispatch_at);
-        continue;
-      }
-      batch.push_back(r);
-      batch_inputs.push_back(r->input);
-    }
-    if (batch.empty()) continue;  // the whole window expired
-
-    // Causal linkage: pre-allocate each member's service span (the head's
-    // becomes the batch's parent context inside serve_batch) and compute
-    // the phase decomposition; recorded once the completion is known.
-    BatchTraceInfo tinfo;
-    std::vector<MemberTrace> members;
-    if (tracing) {
-      for (const Request* r : batch) {
-        if (r->trace_id == 0) continue;
-        MemberTrace m;
-        m.trace_id = r->trace_id;
-        m.client_arrival_ns = r->arrival_ns - r->wire_ns;
-        m.wire_end_ns = r->arrival_ns;
-        m.node_arrival_ns = r->arrival_ns;
-        m.queue_end_ns =
-            std::min(dispatch_at, std::max(r->arrival_ns, lane_free));
-        m.service_span_id = obs::SpanTracer::global().alloc_span_id();
-        members.push_back(m);
-        tinfo.member_trace_ids.push_back(r->trace_id);
-      }
-      if (!members.empty()) {
-        tinfo.trace_id = members.front().trace_id;
-        tinfo.parent_span_id = members.front().service_span_id;
-      }
-    }
-
-    // No lane advanced since dispatch_at was computed, so serve_batch picks
-    // the same least-loaded lane that priced it.
-    const std::uint64_t completion = serve_batch(
-        batch_inputs, dispatch_at, members.empty() ? nullptr : &tinfo);
-
-    for (const MemberTrace& m : members) {
-      record_member_trace(m, static_cast<std::uint16_t>(ordinal_), dispatch_at,
-                          completion);
-    }
-    tl.record_batch(dispatch_at, static_cast<std::int64_t>(batch.size()));
-    tl.record_queue_depth(
-        dispatch_at, static_cast<std::int64_t>(pending.size() + batch.size()));
-
-    for (const Request* r : batch) {
-      RequestOutcome o;
-      o.id = r->id;
-      o.status = RequestStatus::Completed;
-      o.arrival_ns = r->arrival_ns;
-      o.dispatch_ns = dispatch_at;
-      o.completion_ns = completion;
-      o.batch_size = static_cast<std::int64_t>(batch.size());
-      o.slo_miss = r->deadline_ns != 0 && completion > r->deadline_ns;
-      o.node = static_cast<std::int64_t>(ordinal_);
-      outcomes.push_back(o);
-      traffic_obs().completed.add();
-      if (o.slo_miss) traffic_obs().slo_misses.add();
-      traffic_obs().queue_wait_ns.observe(dispatch_at - r->arrival_ns);
-      traffic_obs().e2e_ns.observe(completion - r->arrival_ns);
-      serving_obs().request_quantile_ns.observe(completion - dispatch_at);
-      tl.record_completed(completion, completion - (r->arrival_ns - r->wire_ns),
-                          o.slo_miss);
-    }
-  }
-
-  std::sort(outcomes.begin(), outcomes.end(),
-            [](const RequestOutcome& a, const RequestOutcome& b) {
-              return a.id < b.id;
-            });
-  return outcomes;
-}
-
 double ServingNode::estimate_stream_seconds(const ml::Tensor& image,
                                             std::int64_t count,
                                             int warmup_rounds,
@@ -556,6 +380,15 @@ ServingFleet::ServingFleet(const ml::lite::FlatModel& model,
 }
 
 void ServingFleet::configure_resilience(FleetResilienceConfig cfg) {
+  // A zero quantum dispatches nothing per estimate round, and a negative
+  // duration does not fit the unsigned virtual clock.
+  if (cfg.dispatch_batch < 1) {
+    throw std::invalid_argument("fleet: dispatch_batch must be >= 1");
+  }
+  if (cfg.detect_timeout_seconds < 0 || cfg.cooldown_seconds < 0) {
+    throw std::invalid_argument(
+        "fleet: detect_timeout_seconds and cooldown_seconds must be >= 0");
+  }
   resilience_ = cfg;
 }
 
@@ -598,6 +431,9 @@ void ServingFleet::configure_retry(RequestRetryPolicy policy) {
 }
 
 void ServingFleet::configure_hedging(HedgePolicy policy) {
+  if (policy.hedge_delay_s < 0) {
+    throw std::invalid_argument("fleet: hedge_delay_s must be >= 0");
+  }
   hedge_ = policy;
   if (!resilience_.has_value()) resilience_ = FleetResilienceConfig{};
 }
@@ -636,106 +472,112 @@ double ServingFleet::estimate_stream_seconds(const ml::Tensor& image,
   return slowest + per_request_s * static_cast<double>(per_node);
 }
 
-std::vector<RequestOutcome> ServingFleet::serve_trace(
-    const std::vector<Request>& requests, const BatchWindowConfig& window) {
-  if (failover_active()) return serve_trace_failover(requests, window);
-  if (alive_node_count() == 0) {
-    throw runtime::TransientError("serving fleet: no live nodes");
-  }
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (status_[i].alive) live.push_back(i);
-  }
+namespace {
 
-  // Partition round-robin by request order; each request reaches its node's
-  // queue only after paying the network shield + LAN shipping cost.
-  std::vector<std::vector<Request>> shifted(live.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    Request r = requests[i];
-    const std::uint64_t bytes = r.input->byte_size();
-    r.wire_ns = config_.model.netshield_ns(bytes) +
-                config_.model.lan_transfer_ns(bytes);
-    r.arrival_ns += r.wire_ns;  // nodes see post-wire arrivals; wire_ns lets
-                                // them recover the client clock for traces
-    shifted[i % live.size()].push_back(r);
+// Circuit breaker shared by serve_trace and the E7 estimate: a failed
+// dispatch detected at `now_ns` is one strike, `failure_threshold`
+// consecutive strikes open the circuit for the cool-down, and a node on
+// probation (re-admitted by a half-open probe) re-ejects on its first.
+// Returns true when this strike opened the circuit.
+bool strike(FleetNodeStatus& s, const FleetResilienceConfig& cfg,
+            std::uint64_t now_ns) {
+  ++s.failures_total;
+  ++s.consecutive_failures;
+  if (!s.probation && s.consecutive_failures < cfg.failure_threshold) {
+    return false;
   }
-
-  std::vector<RequestOutcome> merged;
-  merged.reserve(requests.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    std::vector<RequestOutcome> part =
-        nodes_[live[k]]->serve_trace(shifted[k], window);
-    status_[live[k]].served +=
-        static_cast<std::int64_t>(summarize(part).completed);
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-
-  // Report client-side arrivals so e2e latency includes the wire; deadlines
-  // were absolute all along, so slo_miss already accounts for it.
-  std::unordered_map<std::int64_t, std::uint64_t> client_arrival;
-  client_arrival.reserve(requests.size());
-  for (const Request& r : requests) client_arrival[r.id] = r.arrival_ns;
-  for (RequestOutcome& o : merged) {
-    const auto it = client_arrival.find(o.id);
-    if (it != client_arrival.end()) o.arrival_ns = it->second;
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestOutcome& a, const RequestOutcome& b) {
-              return a.id < b.id;
-            });
-  sync_gpu_status();
-  return merged;
+  s.ejected_until_ns =
+      now_ns + static_cast<std::uint64_t>(cfg.cooldown_seconds * 1e9);
+  s.probation = true;  // half-open next time: one strike re-ejects
+  ++s.ejections;
+  s.consecutive_failures = 0;
+  return true;
 }
 
-// Fault-tolerant request plane (docs/SERVING.md). One global event loop
-// drives every node: each step picks the node whose next batch could launch
-// earliest, runs its admission + batch window exactly like the single-node
-// path (so with no faults the outcomes match the fast path bit-for-bit),
-// and probes the fault plane's crash schedule at dispatch. A dispatch that
-// finds the node dead costs the dispatcher `detect_timeout_seconds`, opens
-// the circuit at the failure threshold (probation re-ejects in one), and
-// re-steers the queued-but-unserved requests to the least-loaded live node;
-// a crash window opening mid-service loses the in-flight batch the same
-// way. Lost requests burn client retries (exponential backoff + seeded
-// jitter) when configured, and become terminal FailedNodeDown otherwise —
-// every offered request ends in exactly one terminal RequestOutcome.
-std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
-    const std::vector<Request>& requests, const BatchWindowConfig& window) {
+// A dispatch succeeded: the strike count resets and a half-open circuit
+// closes. Returns true when this success re-admitted a node on probation.
+bool close_circuit(FleetNodeStatus& s) {
+  s.consecutive_failures = 0;
+  return std::exchange(s.probation, false);
+}
+
+/// The nodes one serve_trace run drives. A fault-free run keeps the fault
+/// members at their defaults: no plane, no retry policy, no hedging.
+struct TracePlane {
+  std::vector<ServingNode*> nodes;
+  std::vector<FleetNodeStatus>* status = nullptr;
+  /// Prices each request's network shield + LAN shipping to its node; null
+  /// ships for free (a node serving its own queue).
+  const tee::CostModel* wire = nullptr;
+  FleetResilienceConfig resilience{};
+  faults::FaultPlane* faults = nullptr;
+  std::uint32_t fault_base_id = 0;
+  const RequestRetryPolicy* retry = nullptr;
+  const HedgePolicy* hedge = nullptr;
+};
+
+// The serve_trace event loop (docs/SERVING.md). Requests are partitioned
+// round-robin over the nodes alive at trace start and pay their wire cost
+// before reaching a queue. Each step picks the node whose next batch could
+// launch earliest (ties to the lowest index), admits arrivals (shedding
+// beyond the queue capacity), holds the batch window open, sheds requests
+// whose deadline already passed and launches one batched container
+// invocation. With a fault plane attached, a dispatch that finds the node
+// dead costs the dispatcher `detect_timeout_seconds`, strikes the circuit
+// breaker and re-steers the queued-but-unserved requests to the
+// least-loaded live node; a crash window opening mid-service loses the
+// in-flight batch the same way. Lost requests burn client retries
+// (exponential backoff + seeded jitter) when configured and become terminal
+// FailedNodeDown otherwise — every offered request ends in exactly one
+// terminal RequestOutcome.
+std::vector<RequestOutcome> serve_trace_loop(
+    const TracePlane& plane, const std::vector<Request>& requests,
+    const BatchWindowConfig& window) {
   if (window.max_batch < 1) {
     throw std::invalid_argument("serve_trace: max_batch must be >= 1");
   }
   if (window.max_wait_s < 0) {
     throw std::invalid_argument("serve_trace: max_wait_s must be >= 0");
   }
-  if (alive_node_count() == 0) {
+  const std::vector<ServingNode*>& nodes = plane.nodes;
+  std::vector<FleetNodeStatus>& status = *plane.status;
+  const std::size_t n = nodes.size();
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (status[i].alive) live.push_back(i);
+  }
+  if (live.empty()) {
     throw runtime::TransientError("serving fleet: no live nodes");
   }
-  const FleetResilienceConfig cfg =
-      resilience_.value_or(FleetResilienceConfig{});
+  const FleetResilienceConfig& cfg = plane.resilience;
+  const RequestRetryPolicy* retry = plane.retry;
   const auto wait_ns =
       static_cast<std::uint64_t>(std::llround(window.max_wait_s * 1e9));
   const auto detect_ns =
       static_cast<std::uint64_t>(cfg.detect_timeout_seconds * 1e9);
-  const auto cooldown_ns =
-      static_cast<std::uint64_t>(cfg.cooldown_seconds * 1e9);
-  const bool hedging = hedge_.has_value() && hedge_->enabled;
+  const bool hedging = plane.hedge != nullptr && plane.hedge->enabled;
   const std::uint64_t hedge_ns =
       hedging ? static_cast<std::uint64_t>(
-                    std::llround(hedge_->hedge_delay_s * 1e9))
+                    std::llround(plane.hedge->hedge_delay_s * 1e9))
               : 0;
-  const std::size_t n = nodes_.size();
+  auto pid = [&](std::size_t i) {
+    return static_cast<std::uint16_t>(nodes[i]->ordinal());
+  };
 
   // Each trace is its own timeline; ejection deadlines from a previous run
   // are stale (same contract as estimate_resilient).
-  for (auto& s : status_) s.ejected_until_ns = 0;
+  for (auto& s : status) s.ejected_until_ns = 0;
 
   // Seeded jitter stream for retry backoff, independent of every other DRBG
   // in the run so the retry schedule replays bit-for-bit.
-  crypto::Bytes jseed = crypto::to_bytes("stf-serving-retry-");
-  std::uint8_t jb[8];
-  crypto::store_be64(jb, retry_ ? retry_->jitter_seed : 0);
-  crypto::append(jseed, crypto::BytesView(jb, 8));
-  crypto::HmacDrbg jitter(jseed);
+  std::optional<crypto::HmacDrbg> jitter;
+  if (retry != nullptr) {
+    crypto::Bytes jseed = crypto::to_bytes("stf-serving-retry-");
+    std::uint8_t jb[8];
+    crypto::store_be64(jb, retry->jitter_seed);
+    crypto::append(jseed, crypto::BytesView(jb, 8));
+    jitter.emplace(jseed);
+  }
 
   struct Pending {
     const Request* req = nullptr;
@@ -754,52 +596,55 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     std::uint64_t not_before_ns = 0;  ///< dispatcher busy until (detections)
   };
   struct Terminal {
-    RequestOutcome out;
+    RequestOutcome out;  ///< `node` holds the fleet index until finalized
     std::uint64_t node_arrival_ns = 0;
+    std::uint64_t lost_at_ns = 0;  ///< shed: the instant the timeline sees
     bool by_hedge = false;
   };
   constexpr int kStrikeBudget = 8;
 
   std::vector<NodeLoop> loops(n);
-  std::map<std::int64_t, Terminal> done;
-  std::set<std::int64_t> hedged;
+  // Per-request state, indexed by position in `requests`.
+  std::vector<std::optional<Terminal>> done(requests.size());
+  std::vector<bool> hedged(requests.size());
+  auto slot = [&](const Pending& p) {
+    return static_cast<std::size_t>(p.req - requests.data());
+  };
+  // Completion time of the request's terminal outcome; 0 while unsettled.
+  auto settled_at = [&](const Pending& p) -> std::uint64_t {
+    const std::optional<Terminal>& t = done[slot(p)];
+    return t.has_value() ? t->out.completion_ns : 0;
+  };
 
-  // Static partition round-robin over nodes alive at trace start (identical
-  // to the fast path when no mid-trace faults fire); every arrival pays the
-  // network shield + LAN cost before reaching its node's queue.
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (status_[i].alive) live.push_back(i);
-  }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t k = 0; k < requests.size(); ++k) {
     Pending p;
-    p.req = &requests[i];
-    const std::uint64_t bytes = requests[i].input->byte_size();
-    p.wire_ns = config_.model.netshield_ns(bytes) +
-                config_.model.lan_transfer_ns(bytes);
-    p.arrival_ns = requests[i].arrival_ns + p.wire_ns;
-    loops[live[i % live.size()]].stream.push_back(p);
+    p.req = &requests[k];
+    if (plane.wire != nullptr) {
+      const std::uint64_t bytes = p.req->input->byte_size();
+      p.wire_ns =
+          plane.wire->netshield_ns(bytes) + plane.wire->lan_transfer_ns(bytes);
+    }
+    p.arrival_ns = p.req->arrival_ns + p.wire_ns;
+    loops[live[k % live.size()]].stream.push_back(p);
   }
 
   traffic_obs().offered.add(requests.size());
-  failover_obs();  // register the failover series for this run's exports
-
   const bool tracing = obs::tracing_enabled();
   obs::Timeline& tl = obs::Timeline::global();
   if (tl.enabled()) {
+    // Offered load is bucketed at client arrival (before the wire), the
+    // clock the SLO monitor reasons in.
     for (const Request& r : requests) tl.record_offered(r.arrival_ns);
   }
 
   auto down_at = [&](std::size_t i, std::uint64_t t) {
-    if (!status_[i].alive) return true;
-    return fault_plane_ != nullptr &&
-           fault_plane_->node_down(
-               fault_base_id_ + static_cast<std::uint32_t>(i), t);
+    if (!status[i].alive) return true;
+    return plane.faults != nullptr &&
+           plane.faults->node_down(
+               plane.fault_base_id + static_cast<std::uint32_t>(i), t);
   };
 
-  auto record_shed = [&](const Pending& p, RequestStatus st, std::size_t i) {
-    if (p.is_hedge) return;  // the primary copy lives (or ended) elsewhere
-    if (done.count(p.req->id) != 0) return;  // keep the first terminal state
+  auto make_terminal = [](const Pending& p, RequestStatus st, std::size_t i) {
     Terminal t;
     t.out.id = p.req->id;
     t.out.status = st;
@@ -807,50 +652,41 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     t.out.steered_from = p.steered_from;
     t.out.node = static_cast<std::int64_t>(i);
     t.node_arrival_ns = p.arrival_ns;
-    done.emplace(p.req->id, t);
+    return t;
   };
 
-  auto record_failed = [&](const Pending& p, std::uint64_t dispatch_ns,
-                           std::size_t i) {
-    if (p.is_hedge) return;
-    if (done.count(p.req->id) != 0) return;
-    Terminal t;
-    t.out.id = p.req->id;
-    t.out.status = RequestStatus::FailedNodeDown;
-    t.out.dispatch_ns = dispatch_ns;
-    t.out.retries = p.attempts;
-    t.out.steered_from = p.steered_from;
-    t.out.node = static_cast<std::int64_t>(i);
-    t.node_arrival_ns = p.arrival_ns;
-    done.emplace(p.req->id, t);
+  // A copy shed (at `at_ns`) or lost to a crash (dispatched at `at_ns`).
+  // Hedge copies leave no terminal — the primary lives (or ended)
+  // elsewhere — and a request keeps its first terminal state until a real
+  // completion overrides it.
+  auto record_loss = [&](const Pending& p, RequestStatus st, std::size_t i,
+                         std::uint64_t at_ns) {
+    std::optional<Terminal>& t = done[slot(p)];
+    if (p.is_hedge || t.has_value()) return;
+    t = make_terminal(p, st, i);
+    t->lost_at_ns = at_ns;
+    if (st == RequestStatus::FailedNodeDown) t->out.dispatch_ns = at_ns;
   };
 
   auto record_complete = [&](const Pending& p, std::size_t i,
                              std::uint64_t dispatch_ns,
                              std::uint64_t completion_ns,
                              std::int64_t batch_size) {
-    Terminal t;
-    t.out.id = p.req->id;
-    t.out.status =
-        p.attempts > 0 ? RequestStatus::Retried : RequestStatus::Completed;
+    Terminal t = make_terminal(
+        p, p.attempts > 0 ? RequestStatus::Retried : RequestStatus::Completed,
+        i);
     t.out.dispatch_ns = dispatch_ns;
     t.out.completion_ns = completion_ns;
     t.out.batch_size = batch_size;
     t.out.slo_miss =
         p.req->deadline_ns != 0 && completion_ns > p.req->deadline_ns;
-    t.out.retries = p.attempts;
-    t.out.steered_from = p.steered_from;
-    t.out.node = static_cast<std::int64_t>(i);
-    t.node_arrival_ns = p.arrival_ns;
     t.by_hedge = p.is_hedge;
-    const auto it = done.find(p.req->id);
-    if (it == done.end()) {
-      done.emplace(p.req->id, t);
-    } else if (it->second.out.completion_ns == 0 ||
-               completion_ns < it->second.out.completion_ns) {
-      // A real completion overrides a shed/failed terminal; between two
-      // completions (primary vs hedge racing) the earlier one wins.
-      it->second = t;
+    // A real completion overrides a shed/failed terminal; between two
+    // completions (primary vs hedge racing) the earlier one wins.
+    std::optional<Terminal>& cur = done[slot(p)];
+    if (!cur.has_value() || cur->out.completion_ns == 0 ||
+        completion_ns < cur->out.completion_ns) {
+      cur = t;
     }
   };
 
@@ -872,8 +708,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
                        std::uint64_t t) -> std::optional<std::size_t> {
     std::optional<std::size_t> best;
     for (std::size_t j = 0; j < n; ++j) {
-      if (j == from || status_[j].ejected_until_ns > t) continue;
-      if (!best || nodes_[j]->next_free_ns() < nodes_[*best]->next_free_ns()) {
+      if (j == from || status[j].ejected_until_ns > t) continue;
+      if (!best || nodes[j]->next_free_ns() < nodes[*best]->next_free_ns()) {
         best = j;
       }
     }
@@ -881,7 +717,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     for (std::size_t j = 0; j < n; ++j) {
       if (j == from) continue;
       if (!best ||
-          status_[j].ejected_until_ns < status_[*best].ejected_until_ns) {
+          status[j].ejected_until_ns < status[*best].ejected_until_ns) {
         best = j;
       }
     }
@@ -893,23 +729,22 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   // shape), otherwise the request is a terminal FailedNodeDown.
   auto lose_in_flight = [&](Pending p, std::size_t i, std::uint64_t dispatch_ns,
                             std::uint64_t detected_ns) {
-    if (p.is_hedge) return;  // silent: the primary copy is elsewhere
-    const auto it = done.find(p.req->id);
-    if (it != done.end() && it->second.out.completion_ns != 0) return;
+    // A hedge copy dies silently: the primary copy is elsewhere.
+    if (p.is_hedge || settled_at(p) != 0) return;
     const std::int64_t budget =
-        retry_.has_value()
+        retry != nullptr
             ? (p.req->retry_budget >= 0
                    ? p.req->retry_budget
-                   : static_cast<std::int64_t>(retry_->max_retries))
+                   : static_cast<std::int64_t>(retry->max_retries))
             : 0;
     if (p.attempts >= budget) {
-      record_failed(p, dispatch_ns, i);
+      record_loss(p, RequestStatus::FailedNodeDown, i, dispatch_ns);
       return;
     }
     const std::uint64_t backoff =
-        retry_->backoff.timeout_for(static_cast<unsigned>(p.attempts));
-    const std::uint64_t jit = retry_->backoff.max_jitter_ns > 0
-                                  ? jitter.uniform(retry_->backoff.max_jitter_ns)
+        retry->backoff.timeout_for(static_cast<unsigned>(p.attempts));
+    const std::uint64_t jit = retry->backoff.max_jitter_ns > 0
+                                  ? jitter->uniform(retry->backoff.max_jitter_ns)
                                   : 0;
     ++p.attempts;
     ++p.strikes;
@@ -921,33 +756,23 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   };
 
   // A crash was detected on node i at `t`: the dispatcher pays the
-  // detection timeout, the node takes a strike (the circuit opens at the
-  // threshold; probation re-ejects in one), and everything queued is
+  // detection timeout, the node takes a strike, and everything queued is
   // re-steered to the least-loaded live node. Without a destination the
   // queue rides out the outage in place, under a strike budget so an
   // unbounded outage still terminates every request.
   auto handle_failure = [&](std::size_t i, std::uint64_t t) {
     NodeLoop& nl = loops[i];
-    FleetNodeStatus& st = status_[i];
     const std::uint64_t detected = t + detect_ns;
     nl.not_before_ns = detected;
     {
       static const std::uint32_t span_id = obs::SpanTracer::global().intern(
           obs::names::kSpanServingFailoverDetect);
-      obs::ScopedLane lane_scope(static_cast<std::uint16_t>(i), 0);
+      obs::ScopedLane lane_scope(pid(i), 0);
       obs::SpanTracer::global().record(span_id, t, detected);
     }
     failover_obs().detections.add();
     serving_obs().dispatch_failures.add();
-    ++st.failures_total;
-    ++st.consecutive_failures;
-    if (st.probation || st.consecutive_failures >= cfg.failure_threshold) {
-      st.ejected_until_ns = detected + cooldown_ns;
-      st.probation = true;  // half-open next time: one strike re-ejects
-      ++st.ejections;
-      serving_obs().ejections.add();
-      st.consecutive_failures = 0;
-    }
+    if (strike(status[i], cfg, detected)) serving_obs().ejections.add();
     const auto dest = pick_dest(i, detected);
     std::deque<Pending> keep;
     while (!nl.queue.empty()) {
@@ -956,7 +781,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       if (p.is_hedge) continue;  // hedge copies die with the node, silently
       ++p.strikes;
       if (p.strikes > kStrikeBudget) {
-        record_failed(p, t, i);
+        record_loss(p, RequestStatus::FailedNodeDown, i, t);
         continue;
       }
       if (dest.has_value()) {
@@ -982,8 +807,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   };
 
   // Admission merges the static stream with the inbox in arrival order
-  // (stream wins ties — it was scheduled first); arrivals beyond the queue
-  // capacity are shed immediately, exactly like the single-node path.
+  // (stream wins ties — it was scheduled first). Requests arriving while the
+  // queue is at capacity are shed immediately: the client gets an instant
+  // reject, not a slow miss.
   auto admit_until = [&](std::size_t i, std::uint64_t t) {
     NodeLoop& nl = loops[i];
     while (true) {
@@ -1003,14 +829,14 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       }
       if (window.queue_capacity > 0 &&
           static_cast<std::int64_t>(nl.queue.size()) >= window.queue_capacity) {
-        record_shed(p, RequestStatus::ShedQueueFull, i);
+        record_loss(p, RequestStatus::ShedQueueFull, i, p.req->arrival_ns);
       } else {
         if (tracing && p.req->trace_id != 0) {
           // One flow chain per request: the original copy starts it at the
           // client arrival; retried/re-steered/hedged copies add a step at
           // their re-admission, drawing the hop across nodes.
           TraceSites& ts = trace_sites();
-          obs::ScopedLane ql(static_cast<std::uint16_t>(i), kQueueLaneTid);
+          obs::ScopedLane ql(pid(i), kQueueLaneTid);
           const bool original =
               p.attempts == 0 && p.steered_from < 0 && !p.is_hedge;
           ts.tracer.record_flow(
@@ -1038,8 +864,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       }
       if (!arr.has_value()) continue;  // node has no work
       const std::uint64_t key =
-          std::max({nodes_[i]->next_free_ns(), *arr,
-                    status_[i].ejected_until_ns, nl.not_before_ns});
+          std::max({nodes[i]->next_free_ns(), *arr,
+                    status[i].ejected_until_ns, nl.not_before_ns});
       if (!pick.has_value() || key < pick_key) {
         pick = i;
         pick_key = key;
@@ -1048,7 +874,6 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     if (!pick.has_value()) break;  // all queues, streams and inboxes drained
     const std::size_t i = *pick;
     NodeLoop& nl = loops[i];
-    FleetNodeStatus& st = status_[i];
 
     if (nl.queue.empty()) {
       admit_until(i, *next_candidate_arrival(nl));
@@ -1056,13 +881,14 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     }
     const std::uint64_t head_arrival = nl.queue.front().arrival_ns;
     const std::uint64_t lane_free = std::max(
-        {nodes_[i]->next_free_ns(), st.ejected_until_ns, nl.not_before_ns});
+        {nodes[i]->next_free_ns(), status[i].ejected_until_ns,
+         nl.not_before_ns});
     std::uint64_t dispatch_at = std::max(lane_free, head_arrival);
     admit_until(i, dispatch_at);
 
-    // Batch window, same policy as the single-node path with the inbox
-    // merged in: each admitted arrival pushes the launch to its arrival
-    // time, and an unfilled window launches at close.
+    // Batch window: the queue head waits up to `wait_ns` for the batch to
+    // fill; each admitted arrival pushes the launch to its arrival time,
+    // and an unfilled window launches at close.
     if (static_cast<std::int64_t>(nl.queue.size()) < window.max_batch) {
       const std::uint64_t close = std::max(dispatch_at, head_arrival + wait_ns);
       while (static_cast<std::int64_t>(nl.queue.size()) < window.max_batch) {
@@ -1082,28 +908,23 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       handle_failure(i, dispatch_at);
       continue;
     }
-    if (st.probation) {
-      st.probation = false;  // half-open probe succeeded: circuit closes
-      failover_obs().readmissions.add();
-    }
-    st.consecutive_failures = 0;
+    if (close_circuit(status[i])) failover_obs().readmissions.add();
 
-    // Assemble the batch: expired requests are shed, and copies whose twin
-    // already completed in this batch's past are cancelled (hedge losers).
+    // Assemble the batch: requests whose deadline already passed are shed
+    // (a guaranteed SLO miss is not worth a batch slot), and copies whose
+    // twin already completed in this batch's past are cancelled (hedge
+    // losers).
     std::vector<Pending> batch;
     std::vector<const ml::Tensor*> inputs;
     while (!nl.queue.empty() &&
            static_cast<std::int64_t>(batch.size()) < window.max_batch) {
       Pending p = nl.queue.front();
       nl.queue.pop_front();
-      const auto dit = done.find(p.req->id);
-      if (dit != done.end() && dit->second.out.completion_ns != 0 &&
-          dit->second.out.completion_ns <= dispatch_at) {
-        continue;  // the twin won before this launch — cancel the loser
-      }
+      const std::uint64_t twin_done = settled_at(p);
+      if (twin_done != 0 && twin_done <= dispatch_at) continue;
       if (window.shed_expired && p.req->deadline_ns != 0 &&
           p.req->deadline_ns < dispatch_at) {
-        record_shed(p, RequestStatus::ShedExpired, i);
+        record_loss(p, RequestStatus::ShedExpired, i, dispatch_at);
         continue;
       }
       batch.push_back(p);
@@ -1111,10 +932,12 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     }
     if (batch.empty()) continue;  // the whole window expired or cancelled
 
-    // Causal linkage, same shape as the single-node path. A retried copy's
-    // wire span still covers only the wire; the backoff+detection gap
-    // between it and this copy's node arrival is left uncovered on purpose
-    // (trace_report shows it as explicit slack).
+    // Causal linkage: pre-allocate each member's service span (the head's
+    // becomes the batch's parent context inside serve_batch) and compute
+    // the phase decomposition; recorded once the batch really completes. A
+    // retried copy's wire span still covers only the wire; the
+    // backoff+detection gap between it and this copy's node arrival is left
+    // uncovered on purpose (trace_report shows it as explicit slack).
     BatchTraceInfo tinfo;
     std::vector<MemberTrace> members;
     if (tracing) {
@@ -1137,7 +960,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       }
     }
 
-    const std::uint64_t completion = nodes_[i]->serve_batch(
+    // No lane advanced since dispatch_at was computed, so serve_batch picks
+    // the same least-loaded lane that priced it.
+    const std::uint64_t completion = nodes[i]->serve_batch(
         inputs, dispatch_at, members.empty() ? nullptr : &tinfo);
     serving_obs().dispatches.add();
     tl.record_batch(dispatch_at, static_cast<std::int64_t>(batch.size()));
@@ -1148,9 +973,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     // completes loses the whole batch at the crash instant; the dispatcher
     // notices a timeout later, and every member retries or fails.
     std::optional<std::uint64_t> crash;
-    if (fault_plane_ != nullptr) {
-      crash = fault_plane_->next_crash_after(
-          fault_base_id_ + static_cast<std::uint32_t>(i), dispatch_at);
+    if (plane.faults != nullptr) {
+      crash = plane.faults->next_crash_after(
+          plane.fault_base_id + static_cast<std::uint32_t>(i), dispatch_at);
     }
     if (crash.has_value() && *crash < completion) {
       const std::uint64_t detected = *crash + detect_ns;
@@ -1164,8 +989,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     // The batch really completed: record every member's causal tree (hedge
     // twins each get their own root; trace_report keeps the earliest).
     for (const MemberTrace& m : members) {
-      record_member_trace(m, static_cast<std::uint16_t>(i), dispatch_at,
-                          completion);
+      record_member_trace(m, pid(i), dispatch_at, completion);
     }
     for (const Pending& p : batch) {
       record_complete(p, i, dispatch_at, completion,
@@ -1177,11 +1001,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     // loser is cancelled at its dispatch.
     if (hedging && !nl.queue.empty()) {
       const Pending& h = nl.queue.front();
-      const auto dit = done.find(h.req->id);
-      const bool settled =
-          dit != done.end() && dit->second.out.completion_ns != 0;
-      if (!h.is_hedge && !settled && hedged.count(h.req->id) == 0 &&
-          std::max(nodes_[i]->next_free_ns(), h.arrival_ns) >=
+      if (!h.is_hedge && settled_at(h) == 0 && !hedged[slot(h)] &&
+          std::max(nodes[i]->next_free_ns(), h.arrival_ns) >=
               h.arrival_ns + hedge_ns) {
         const auto dest = pick_dest(i, dispatch_at);
         if (dest.has_value()) {
@@ -1190,7 +1011,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
           twin.arrival_ns = std::max(dispatch_at, h.arrival_ns);
           twin.steered_from = static_cast<std::int64_t>(i);
           inbox_push(*dest, twin);
-          hedged.insert(h.req->id);
+          hedged[slot(h)] = true;
           failover_obs().hedges.add();
         }
       }
@@ -1200,13 +1021,16 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   // Finalize: every offered request must hold exactly one terminal outcome.
   std::vector<RequestOutcome> out;
   out.reserve(requests.size());
-  for (const Request& r : requests) {
-    const auto it = done.find(r.id);
-    if (it == done.end()) {
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    const Request& r = requests[k];
+    if (!done[k].has_value()) {
       throw std::logic_error("serving fleet: request " + std::to_string(r.id) +
                              " reached no terminal outcome");
     }
-    RequestOutcome o = it->second.out;
+    const Terminal& t = *done[k];
+    RequestOutcome o = t.out;
+    const auto i = static_cast<std::size_t>(o.node);
+    o.node = nodes[i]->ordinal();
     o.arrival_ns = r.arrival_ns;  // client-side arrival: e2e includes the wire
     out.push_back(o);
     switch (o.status) {
@@ -1214,23 +1038,22 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       case RequestStatus::Retried:
         traffic_obs().completed.add();
         if (o.slo_miss) traffic_obs().slo_misses.add();
-        traffic_obs().queue_wait_ns.observe(o.dispatch_ns -
-                                            it->second.node_arrival_ns);
+        traffic_obs().queue_wait_ns.observe(o.dispatch_ns - t.node_arrival_ns);
         traffic_obs().e2e_ns.observe(o.completion_ns - o.arrival_ns);
         serving_obs().request_quantile_ns.observe(o.completion_ns -
                                                   o.dispatch_ns);
-        if (o.node >= 0) ++status_[static_cast<std::size_t>(o.node)].served;
-        if (it->second.by_hedge) failover_obs().hedge_wins.add();
+        ++status[i].served;
+        if (t.by_hedge) failover_obs().hedge_wins.add();
         tl.record_completed(o.completion_ns, o.completion_ns - o.arrival_ns,
                             o.slo_miss);
         break;
       case RequestStatus::ShedQueueFull:
         traffic_obs().shed_queue_full.add();
-        tl.record_shed(o.arrival_ns);
+        tl.record_shed(t.lost_at_ns);
         break;
       case RequestStatus::ShedExpired:
         traffic_obs().shed_expired.add();
-        tl.record_shed(o.arrival_ns);
+        tl.record_shed(t.lost_at_ns);
         break;
       case RequestStatus::FailedNodeDown:
         failover_obs().failed_requests.add();
@@ -1241,6 +1064,29 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
             [](const RequestOutcome& a, const RequestOutcome& b) {
               return a.id < b.id;
             });
+  return out;
+}
+
+}  // namespace
+
+std::vector<RequestOutcome> ServingNode::serve_trace(
+    const std::vector<Request>& requests, const BatchWindowConfig& window) {
+  std::vector<FleetNodeStatus> status(1);
+  return serve_trace_loop({.nodes = {this}, .status = &status}, requests,
+                          window);
+}
+
+std::vector<RequestOutcome> ServingFleet::serve_trace(
+    const std::vector<Request>& requests, const BatchWindowConfig& window) {
+  TracePlane plane{.status = &status_,
+                   .wire = &config_.model,
+                   .resilience = resilience_.value_or(FleetResilienceConfig{}),
+                   .faults = fault_plane_,
+                   .fault_base_id = fault_base_id_,
+                   .retry = retry_.has_value() ? &*retry_ : nullptr,
+                   .hedge = hedge_.has_value() ? &*hedge_ : nullptr};
+  for (const auto& node : nodes_) plane.nodes.push_back(node.get());
+  std::vector<RequestOutcome> out = serve_trace_loop(plane, requests, window);
   sync_gpu_status();
   return out;
 }
@@ -1287,8 +1133,6 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
 
   const auto detect_ns =
       static_cast<std::uint64_t>(cfg.detect_timeout_seconds * 1e9);
-  const auto cooldown_ns =
-      static_cast<std::uint64_t>(cfg.cooldown_seconds * 1e9);
 
   // Each estimate call is its own timeline (virtual time restarts at 0), so
   // deadlines from a previous stream are stale: previously ejected nodes
@@ -1324,21 +1168,12 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
     for (const std::size_t i : admitted) {
       FleetNodeStatus& s = status_[i];
       if (!s.alive) {
-        ++s.failures_total;
-        ++s.consecutive_failures;
         serving_obs().dispatch_failures.add();
         now_ns += detect_ns;
-        if (s.probation || s.consecutive_failures >= cfg.failure_threshold) {
-          s.ejected_until_ns = now_ns + cooldown_ns;
-          s.probation = true;  // half-open next time: one strike re-ejects
-          ++s.ejections;
-          serving_obs().ejections.add();
-          s.consecutive_failures = 0;
-        }
+        if (strike(s, cfg, now_ns)) serving_obs().ejections.add();
         continue;
       }
-      s.consecutive_failures = 0;
-      s.probation = false;
+      close_circuit(s);
       const std::int64_t quantum =
           std::min<std::int64_t>(cfg.dispatch_batch, remaining - dispatched);
       if (quantum <= 0) break;

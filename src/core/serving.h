@@ -161,8 +161,9 @@ class ServingNode {
   /// Serves an open-loop request trace (sorted by arrival) with dynamic
   /// cross-request batching and SLO-aware shedding per `window`. Each batch
   /// runs on the least-loaded lane as ONE batched container invocation.
-  /// Deterministic in virtual time; returns one outcome per request, in
-  /// request order.
+  /// This is the fleet's serve_trace event loop over this one node, with
+  /// no wire cost and no faults. Deterministic in virtual time; returns one
+  /// outcome per request, in request order.
   std::vector<RequestOutcome> serve_trace(const std::vector<Request>& requests,
                                           const BatchWindowConfig& window);
 
@@ -176,7 +177,7 @@ class ServingNode {
   /// Runs one batch on the least-loaded lane as a single batched container
   /// invocation launching at `dispatch_ns` (the lane clock is advanced to
   /// it first); returns the batch completion time. Building block of the
-  /// fleet failover loop, which owns queueing and shedding itself. `trace`,
+  /// serve_trace event loop, which owns queueing and shedding itself. `trace`,
   /// when non-null with a nonzero trace_id, installs the head member's
   /// trace context for the batch and finishes every member's flow arrow at
   /// the dispatch (docs/TRACING.md).
@@ -188,6 +189,7 @@ class ServingNode {
   /// start computing on this node.
   [[nodiscard]] std::uint64_t next_free_ns() const;
 
+  [[nodiscard]] unsigned ordinal() const { return ordinal_; }
   [[nodiscard]] const tee::Platform& platform() const { return *platform_; }
   [[nodiscard]] std::uint64_t epc_faults() const {
     return platform_->epc().stats().faults;
@@ -299,23 +301,27 @@ class ServingFleet {
   /// spinning. Without faults/resilience this is the exact legacy estimate.
   double estimate_stream_seconds(const ml::Tensor& image, std::int64_t count);
 
-  /// Serves an open-loop trace across the live nodes: requests are
-  /// partitioned round-robin by id, each arrival is delayed by its network
-  /// shield + LAN shipping cost before reaching its node's queue, and every
-  /// node batches/sheds per `window` (ServingNode::serve_trace). Outcomes
-  /// keep client-side arrival times, so e2e latency includes the wire.
-  /// Throws runtime::TransientError when no node is alive.
+  /// Serves an open-loop trace across the fleet in one event loop
+  /// (docs/SERVING.md): requests are partitioned round-robin over the nodes
+  /// alive at trace start, each arrival is delayed by its network shield +
+  /// LAN shipping cost before reaching its node's queue, and every node
+  /// batches/sheds per `window`. An attached fault plane, retry policy or
+  /// hedging adds crash detection, circuit breaking, re-steering, retries
+  /// and hedges to the same loop. Outcomes keep client-side arrival times,
+  /// so e2e latency includes the wire. Throws runtime::TransientError when
+  /// no node is alive.
   std::vector<RequestOutcome> serve_trace(const std::vector<Request>& requests,
                                           const BatchWindowConfig& window);
 
   /// Enables health tracking with the given knobs (fail_node() implies a
-  /// default-configured enable).
+  /// default-configured enable). Throws std::invalid_argument when
+  /// dispatch_batch < 1 or either duration is negative.
   void configure_resilience(FleetResilienceConfig cfg);
 
   /// Wires a PR-2 fault plane's crash schedule into serve_trace: nodes
   /// crash and revive at the plane's seeded virtual times mid-trace, and
-  /// the failover loop (detect -> eject -> re-steer -> half-open re-admit)
-  /// takes over. Fleet node `i` maps to plane node id `base_node_id + i`.
+  /// the event loop detects, ejects, re-steers and half-open re-admits.
+  /// Fleet node `i` maps to plane node id `base_node_id + i`.
   /// When the fleet serves with gpu_offload, the plane's GPU-corruption
   /// windows (schedule_gpu_corruption) are wired into each node's offload
   /// engine too: inside a window the node's GPU returns wrong results,
@@ -327,7 +333,8 @@ class ServingFleet {
   /// Enables client-side retries for crash-lost requests in serve_trace.
   void configure_retry(RequestRetryPolicy policy);
 
-  /// Enables queue-head hedging in serve_trace.
+  /// Enables queue-head hedging in serve_trace. Throws
+  /// std::invalid_argument on a negative hedge_delay_s.
   void configure_hedging(HedgePolicy policy);
 
   /// Crash-stops node `index`; dispatches to it fail until restore_node().
@@ -348,14 +355,6 @@ class ServingFleet {
 
  private:
   double estimate_resilient(const ml::Tensor& image, std::int64_t count);
-  /// True when serve_trace must run the failover event loop instead of the
-  /// static-partition fast path (fault plane attached, retry or hedging on).
-  [[nodiscard]] bool failover_active() const {
-    return fault_plane_ != nullptr || retry_.has_value() ||
-           (hedge_.has_value() && hedge_->enabled);
-  }
-  std::vector<RequestOutcome> serve_trace_failover(
-      const std::vector<Request>& requests, const BatchWindowConfig& window);
   /// Copies each node's GPU-offload health into status_ (end of a serve).
   void sync_gpu_status();
 

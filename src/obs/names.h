@@ -118,7 +118,7 @@ inline constexpr const char* kServingDispatchFailures =
     "core.serving.dispatch_failures";
 inline constexpr const char* kServingEjections = "core.serving.ejections";
 // Request-plane traffic (docs/SERVING.md): registered lazily by the
-// serve_trace path only, so benches that never run traffic keep their
+// serve_trace event loop, so benches that never serve a trace keep their
 // registry exports byte-identical.
 inline constexpr const char* kServingRequestsOffered =
     "core.serving.requests_offered";
@@ -133,9 +133,9 @@ inline constexpr const char* kServingQueueWaitQuantileNs =
     "core.serving.queue_wait_quantile_ns";
 inline constexpr const char* kServingE2eQuantileNs =
     "core.serving.e2e_latency_quantile_ns";
-// Failover request plane (docs/SERVING.md): registered lazily by the
-// fault-tolerant serve_trace path only (fault plane attached, retry or
-// hedging configured), so faults-off registry exports stay byte-identical.
+// Failover request plane (docs/SERVING.md): registered lazily at the first
+// failover event in serve_trace (crash detection, retry, hedge, re-admission
+// or terminal loss), so fault-free registry exports list none of them.
 inline constexpr const char* kServingFailoverDetections =
     "core.serving.failover.crash_detections";
 inline constexpr const char* kServingFailoverResteered =

@@ -1,13 +1,15 @@
 // Chaos suite for the fault-tolerant request plane (docs/SERVING.md):
 // seeded mid-trace node crashes from the PR-2 FaultPlane wired into
-// ServingFleet::serve_trace. The contract under test: with faults off the
-// failover path reproduces the fast path bit-for-bit; with seeded crashes
-// every offered request still ends in exactly one terminal RequestOutcome,
-// re-steering/retries/hedging recover what the crash would have lost, and
-// the whole schedule replays identically across reruns.
+// ServingFleet::serve_trace. The contract under test: an attached plane
+// with no crash windows reproduces the fault-free run bit-for-bit; with
+// seeded crashes every offered request still ends in exactly one terminal
+// RequestOutcome, re-steering/retries/hedging recover what the crash would
+// have lost, and the whole schedule replays identically across reruns.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/loadgen.h"
@@ -96,7 +98,7 @@ void expect_conserved(const TrafficSummary& s) {
 // Self-calibrating crash instant: serve the trace on a clean fleet, find the
 // earliest-dispatched batch node 1 completes, and return the midpoint of its
 // service interval. A crash scheduled there is guaranteed to interrupt that
-// batch mid-service in a faulted rerun (the failover path replays the clean
+// batch mid-service in a faulted rerun (the event loop replays the clean
 // schedule bit-for-bit up to the first crash-affected event), so the tests
 // don't hard-code model service times.
 std::uint64_t mid_service_instant_on_node1(ChaosFixture& f,
@@ -382,6 +384,71 @@ TEST(ServingChaosTest, AllNodesDeadBeforeTraceStillThrows) {
   fleet.fail_node(0);
   EXPECT_THROW(fleet.serve_trace(trace.requests, f.window()),
                runtime::TransientError);
+}
+
+// ---- one event loop: fault-free runs report like faulted ones ----------
+
+TEST(ServingChaosTest, E2eSeriesMatchesTheSummaryWithAndWithoutAnEmptyPlane) {
+  // The registry's e2e series and summarize() both measure client arrival
+  // -> completion, so the wire cost is in both, with or without a plane.
+  ChaosFixture f;
+  const LoadTrace trace = generate_load(f.trace_config(2000, 120));
+  for (const bool attach : {false, true}) {
+    obs::Registry::global().reset();
+    faults::FaultPlane plane(21);  // no crash windows scheduled
+    ServingFleet fleet(f.model, f.config(), 2);
+    if (attach) fleet.attach_fault_plane(plane);
+    const TrafficSummary s =
+        summarize(fleet.serve_trace(trace.requests, f.window()));
+    const obs::QuantileSeries& e2e =
+        obs::Registry::global().quantiles(obs::names::kServingE2eQuantileNs);
+    EXPECT_EQ(e2e.count(), static_cast<std::uint64_t>(s.goodput()));
+    EXPECT_EQ(e2e.quantile(0.50), s.p50_ns) << "plane attached: " << attach;
+    EXPECT_EQ(e2e.quantile(0.95), s.p95_ns) << "plane attached: " << attach;
+    EXPECT_EQ(e2e.quantile(0.99), s.p99_ns) << "plane attached: " << attach;
+  }
+}
+
+TEST(ServingChaosTest, FaultFreeRunCountsOneDispatchPerBatch) {
+  // One lane per node, so a node never launches two batches at the same
+  // instant and (node, dispatch_ns) names exactly one batch.
+  ChaosFixture f;
+  const LoadTrace trace = generate_load(f.trace_config(2000, 120));
+  obs::Counter& dispatches =
+      obs::Registry::global().counter(obs::names::kServingDispatches);
+  const std::uint64_t before = dispatches.value();
+  ServingFleet fleet(f.model, f.config(1), 2);
+  const std::vector<RequestOutcome> outcomes =
+      fleet.serve_trace(trace.requests, f.window());
+  std::set<std::pair<std::int64_t, std::uint64_t>> batches;
+  for (const RequestOutcome& o : outcomes) {
+    if (o.status == RequestStatus::Completed) {
+      batches.insert({o.node, o.dispatch_ns});
+    }
+  }
+  EXPECT_GT(batches.size(), 0u);
+  EXPECT_EQ(dispatches.value() - before, batches.size());
+}
+
+TEST(ServingChaosTest, ResilienceAndHedgingConfigsRejectNonsense) {
+  ChaosFixture f;
+  ServingFleet fleet(f.model, f.config(), 2);
+  FleetResilienceConfig zero_quantum = f.resilience();
+  zero_quantum.dispatch_batch = 0;
+  EXPECT_THROW(fleet.configure_resilience(zero_quantum),
+               std::invalid_argument);
+  FleetResilienceConfig negative_detect = f.resilience();
+  negative_detect.detect_timeout_seconds = -0.001;
+  EXPECT_THROW(fleet.configure_resilience(negative_detect),
+               std::invalid_argument);
+  FleetResilienceConfig negative_cooldown = f.resilience();
+  negative_cooldown.cooldown_seconds = -1;
+  EXPECT_THROW(fleet.configure_resilience(negative_cooldown),
+               std::invalid_argument);
+  HedgePolicy negative_delay;
+  negative_delay.enabled = true;
+  negative_delay.hedge_delay_s = -1e-6;
+  EXPECT_THROW(fleet.configure_hedging(negative_delay), std::invalid_argument);
 }
 
 }  // namespace
