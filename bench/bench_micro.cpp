@@ -3,10 +3,13 @@
 // Everything else in bench/ measures *virtual* time from the cost model;
 // this binary measures the actual host-side implementations: the from-
 // scratch crypto that the shields run for real, the EPC manager's
-// bookkeeping overhead, and the ML kernels.
+// bookkeeping overhead, and the ML kernels. The crypto benches run on the
+// backend this host dispatches to; their *Portable twins force the portable
+// kernels so both speeds show side by side.
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.h"
+#include "crypto/backend.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
@@ -30,6 +33,12 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
 
+void BM_Sha256Portable(benchmark::State& state) {
+  const crypto::backend::PortableScope portable;
+  BM_Sha256(state);
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(4096)->Arg(65536);
+
 void BM_HmacSha256(benchmark::State& state) {
   const auto key = crypto::to_bytes("benchmark-key");
   const crypto::Bytes data(4096, 0x7f);
@@ -51,6 +60,12 @@ void BM_AesGcmSeal(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AesGcmSeal)->Arg(256)->Arg(4096)->Arg(65536);
+
+void BM_AesGcmSealPortable(benchmark::State& state) {
+  const crypto::backend::PortableScope portable;
+  BM_AesGcmSeal(state);
+}
+BENCHMARK(BM_AesGcmSealPortable)->Arg(256)->Arg(4096)->Arg(65536);
 
 void BM_AesGcmOpen(benchmark::State& state) {
   const auto key = crypto::HmacDrbg(crypto::to_bytes("k")).generate(16);
@@ -85,6 +100,12 @@ void BM_DrbgGenerate(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_DrbgGenerate);
+
+void BM_DrbgGeneratePortable(benchmark::State& state) {
+  const crypto::backend::PortableScope portable;
+  BM_DrbgGenerate(state);
+}
+BENCHMARK(BM_DrbgGeneratePortable);
 
 void BM_EpcResidentAccess(benchmark::State& state) {
   tee::CostModel model;

@@ -1,7 +1,10 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+
+#include "crypto/backend.h"
 
 namespace stf::crypto {
 namespace {
@@ -48,46 +51,50 @@ inline std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
 
 }  // namespace
 
-Aes::Aes(BytesView key) {
+namespace backend {
+
+int aes_expand_key(const std::uint8_t* key, std::size_t key_len,
+                   std::uint8_t round_keys[kMaxRoundKeyBytes]) {
   std::size_t nk;  // key length in 32-bit words
-  if (key.size() == 16) {
+  int rounds;
+  if (key_len == 16) {
     nk = 4;
-    rounds_ = 10;
-  } else if (key.size() == 32) {
+    rounds = 10;
+  } else if (key_len == 32) {
     nk = 8;
-    rounds_ = 14;
+    rounds = 14;
   } else {
     throw std::invalid_argument("Aes: key must be 16 or 32 bytes");
   }
 
-  const std::size_t total_words = 4 * (rounds_ + 1);
-  for (std::size_t i = 0; i < nk; ++i) {
-    round_keys_[i] = load_be32(key.data() + 4 * i);
-  }
+  const std::size_t total_words = 4 * (rounds + 1);
+  std::uint32_t words[kMaxRoundKeyBytes / 4];
+  for (std::size_t i = 0; i < nk; ++i) words[i] = load_be32(key + 4 * i);
   for (std::size_t i = nk; i < total_words; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
+    std::uint32_t temp = words[i - 1];
     if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^
              (std::uint32_t{kRcon[i / nk]} << 24);
     } else if (nk > 6 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    words[i] = words[i - nk] ^ temp;
   }
+  for (std::size_t i = 0; i < total_words; ++i) {
+    store_be32(round_keys + 4 * i, words[i]);
+  }
+  return rounds;
 }
 
-void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
+namespace portable {
+
+void aes_encrypt_block(const std::uint8_t* round_keys, int rounds,
+                       std::uint8_t block[16]) {
   std::uint8_t state[16];
   std::memcpy(state, block, 16);
 
   auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t w = round_keys_[4 * round + c];
-      state[4 * c + 0] ^= static_cast<std::uint8_t>(w >> 24);
-      state[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
-      state[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
-      state[4 * c + 3] ^= static_cast<std::uint8_t>(w);
-    }
+    for (int i = 0; i < 16; ++i) state[i] ^= round_keys[16 * round + i];
   };
 
   auto sub_bytes = [&] {
@@ -124,7 +131,7 @@ void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
   };
 
   add_round_key(0);
-  for (int round = 1; round < rounds_; ++round) {
+  for (int round = 1; round < rounds; ++round) {
     sub_bytes();
     shift_rows();
     mix_columns();
@@ -132,27 +139,53 @@ void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
   }
   sub_bytes();
   shift_rows();
-  add_round_key(rounds_);
+  add_round_key(rounds);
 
   std::memcpy(block, state, 16);
 }
 
-void Aes::ctr_xor(const std::uint8_t iv[kBlockSize], std::uint8_t* data,
-                  std::size_t len) const {
-  std::uint8_t counter[kBlockSize];
-  std::memcpy(counter, iv, kBlockSize);
-  std::uint8_t keystream[kBlockSize];
+void aes_ctr_xor(const std::uint8_t* round_keys, int rounds,
+                 const std::uint8_t iv[16], std::uint8_t* data,
+                 std::size_t len) {
+  std::uint8_t counter[16];
+  std::memcpy(counter, iv, 16);
+  std::uint8_t keystream[16];
   std::size_t offset = 0;
   while (offset < len) {
-    std::memcpy(keystream, counter, kBlockSize);
-    encrypt_block(keystream);
-    const std::size_t take = std::min(len - offset, kBlockSize);
+    std::memcpy(keystream, counter, 16);
+    aes_encrypt_block(round_keys, rounds, keystream);
+    const std::size_t take = std::min<std::size_t>(len - offset, 16);
     for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
     offset += take;
     // Increment the big-endian counter in the last 4 bytes (GCM convention).
     for (int i = 15; i >= 12; --i) {
       if (++counter[i] != 0) break;
     }
+  }
+}
+
+}  // namespace portable
+}  // namespace backend
+
+Aes::Aes(BytesView key) {
+  rounds_ = backend::aes_expand_key(key.data(), key.size(), round_keys_.data());
+}
+
+void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
+  if (backend::active().aes_clmul) {
+    backend::hw::aes_encrypt_block(round_keys_.data(), rounds_, block);
+  } else {
+    backend::portable::aes_encrypt_block(round_keys_.data(), rounds_, block);
+  }
+}
+
+void Aes::ctr_xor(const std::uint8_t iv[kBlockSize], std::uint8_t* data,
+                  std::size_t len) const {
+  if (backend::active().aes_clmul) {
+    backend::hw::aes_ctr_xor(round_keys_.data(), rounds_, iv, data, len);
+  } else {
+    backend::portable::aes_ctr_xor(round_keys_.data(), rounds_, iv, data,
+                                   len);
   }
 }
 

@@ -25,14 +25,16 @@ class Aes {
 
   /// CTR mode: XORs `data` (in place) with the keystream generated from the
   /// 16-byte initial counter block `iv`. Encryption and decryption are the
-  /// same operation.
+  /// same operation. The counter is the big-endian word in the last 4 bytes
+  /// and wraps modulo 2^32 (the GCM convention).
   void ctr_xor(const std::uint8_t iv[kBlockSize], std::uint8_t* data,
                std::size_t len) const;
 
  private:
   int rounds_ = 0;
-  // Max schedule: AES-256 has 15 round keys of 4 words each.
-  std::array<std::uint32_t, 60> round_keys_{};
+  // Byte-order schedule shared by both backends (crypto/backend.h); max is
+  // AES-256's 15 round keys of 16 bytes.
+  alignas(16) std::array<std::uint8_t, 240> round_keys_{};
 };
 
 }  // namespace stf::crypto

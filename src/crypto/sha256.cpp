@@ -3,27 +3,64 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/backend.h"
+
 namespace stf::crypto {
 namespace {
-
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 constexpr std::array<std::uint32_t, 8> kInitialState = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
 }  // namespace
+
+namespace backend::portable {
+
+void sha256_compress(std::uint32_t state[8], const std::uint8_t* blocks,
+                     std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^
+                               std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^
+                               std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                  e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 =
+          std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kSha256RoundConstants[i] + w[i];
+      const std::uint32_t s0 =
+          std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+}  // namespace backend::portable
 
 Sha256::Sha256() { reset(); }
 
@@ -33,44 +70,12 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::compress(const std::uint8_t block[kBlockSize]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^
-                             (w[i - 15] >> 3);
-    const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^
-                             (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+void Sha256::compress(const std::uint8_t* blocks, std::size_t nblocks) {
+  if (backend::active().sha) {
+    backend::hw::sha256_compress(state_.data(), blocks, nblocks);
+  } else {
+    backend::portable::sha256_compress(state_.data(), blocks, nblocks);
   }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 =
-        std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 =
-        std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 void Sha256::update(BytesView data) {
@@ -82,13 +87,14 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kBlockSize) {
-      compress(buffer_.data());
+      compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    compress(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t nblocks = (data.size() - offset) / kBlockSize;
+  if (nblocks > 0) {
+    compress(data.data() + offset, nblocks);
+    offset += nblocks * kBlockSize;
   }
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;

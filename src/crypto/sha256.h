@@ -31,7 +31,7 @@ class Sha256 {
   static Digest hash(BytesView data);
 
  private:
-  void compress(const std::uint8_t block[kBlockSize]);
+  void compress(const std::uint8_t* blocks, std::size_t nblocks);
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, kBlockSize> buffer_{};

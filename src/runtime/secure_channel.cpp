@@ -132,20 +132,23 @@ std::array<std::uint8_t, 12> SecureChannel::nonce_for(
 void SecureChannel::send(crypto::BytesView plaintext) {
   if (!valid()) throw std::logic_error("send on invalid SecureChannel");
   // Header: sequence number + length, authenticated as AAD.
-  crypto::Bytes header(12);
+  std::array<std::uint8_t, 12> header{};
   crypto::store_be64(header.data(), send_seq_);
   crypto::store_be32(header.data() + 8,
                      static_cast<std::uint32_t>(plaintext.size()));
+  // The record is header || ciphertext || tag, sealed in place into one
+  // buffer sized up front.
+  crypto::Bytes record;
+  record.reserve(header.size() + plaintext.size() + crypto::AesGcm::kTagSize);
+  record.assign(header.begin(), header.end());
   const auto nonce = nonce_for(send_iv_, send_seq_);
-  const auto sealed = send_aead_->seal(
-      crypto::BytesView(nonce.data(), nonce.size()), header, plaintext);
+  send_aead_->seal_into(crypto::BytesView(nonce.data(), nonce.size()),
+                        header, plaintext, record);
   {
     obs::ScopedCategory attribution(obs::Category::kCrypto);
     clock_->advance(model_->netshield_ns(plaintext.size()));
   }
 
-  crypto::Bytes record = header;
-  crypto::append(record, sealed);
   conn_.send(record);
   ++send_seq_;
   channel_obs().records_sent.add();
