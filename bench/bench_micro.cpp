@@ -16,7 +16,11 @@
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
 #include "ml/kernels.h"
+#include "ml/lite/flat_model.h"
+#include "ml/models.h"
 #include "ml/ops.h"
+#include "ml/serialize.h"
+#include "ml/session.h"
 #include "runtime/thread_pool.h"
 #include "tee/epc.h"
 
@@ -224,6 +228,46 @@ void BM_GemmThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(0)
     ->Unit(benchmark::kMillisecond);
+
+// Skinny GEMM: arg = m (batch rows) against a 3072x1024 weight matrix, the
+// first layer of the 42 MB stand-in, on a serial context. At m <= 72 the
+// kernel reads B in place instead of packing it.
+void BM_GemmSkinny(benchmark::State& state) {
+  const std::int64_t m = state.range(0);
+  const std::int64_t k = 3072;
+  const std::int64_t n = 1024;
+  const ml::Tensor a = filled({m, k}, 5);
+  const ml::Tensor b = filled({k, n}, 6);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  const ml::kernels::KernelContext serial{};
+  for (auto _ : state) {
+    ml::kernels::gemm(serial, m, k, n, a.data(), b.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>(k * n * sizeof(float)) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmSkinny)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// Batch-1 float Lite invoke of the 42 MB densenet stand-in (3072 inputs,
+// seven 1024-wide hidden layers) on a serial context: the warm classify
+// of a cold start, without the container around it.
+void BM_LiteInvokeBatch1(benchmark::State& state) {
+  const ml::Graph graph =
+      ml::sized_classifier("densenet", 42ull << 20, 3072, 10, 1);
+  ml::Session session(graph);
+  const ml::lite::FlatModel model = ml::lite::FlatModel::from_frozen(
+      ml::freeze(graph, session), "input", "probs");
+  ml::lite::LiteInterpreter interpreter(model, nullptr,
+                                        ml::kernels::KernelContext{});
+  const ml::Tensor input = filled({1, 3072}, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interpreter.invoke(input));
+  }
+}
+BENCHMARK(BM_LiteInvokeBatch1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -56,27 +56,33 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 typedef float bvec __attribute__((vector_size(sizeof(float) * VL),
                                   aligned(alignof(float)), may_alias));
 
-// acc[MR,NR] += A-tile[MR,kc] x Bpanel[kc,NR], kk ascending. Each of the
-// 2*MR accumulator vectors stays in a register across the whole k loop
-// and is a single FMA chain, preserving the naive reference's per-element
-// summation order; pairing two vectors per row amortizes the A broadcast
-// over NR columns, which is what makes small-k (im2col conv) shapes pay
-// off. A-tile element (r, kk) sits at ap[r*a_rs + kk*a_ks]: (1, MR) walks
-// a packed panel, (row_stride, 1) reads an already column-contiguous
-// operand in place with no packing pass. `out_stride` lets a full
-// interior tile accumulate straight into C (stride n) while edge tiles go
-// through an NR-contiguous scratch buffer.
+// acc[ROWS,NR] += A-tile[ROWS,kc] x B-panel[kc,NR], kk ascending. Each of
+// the 2*ROWS accumulator vectors stays in a register across the whole k
+// loop and is a single multiply-add chain, preserving the naive reference's
+// per-element summation order; pairing two vectors per row amortizes the A
+// broadcast over NR columns, which is what makes small-k (im2col conv)
+// shapes pay off. A-tile element (r, kk) sits at ap[r*a_rs + kk*a_ks]: (1,
+// MR) walks a packed panel, (row_stride, col_stride) reads the operand in
+// place with no packing pass. B-panel row kk starts at bp + kk*b_rs: NR for
+// a packed panel, the row stride of B when B is read in place. ROWS is a
+// compile-time row count, so a skinny tile (batch-1 inference) issues only
+// the multiply-adds of its real rows; the per-element arithmetic is the
+// same for every ROWS. `out_stride` lets a full-width tile accumulate
+// straight into C (stride n) while edge tiles go through an NR-contiguous
+// scratch buffer.
+template <int ROWS>
 void micro_kernel(const float* __restrict__ ap, std::int64_t a_rs,
                   std::int64_t a_ks, const float* __restrict__ bp,
-                  std::int64_t kc, float* __restrict__ acc_out,
-                  std::int64_t out_stride, bool first_panel) {
-  bvec acc0[MR] = {};
-  bvec acc1[MR] = {};
+                  std::int64_t b_rs, std::int64_t kc,
+                  float* __restrict__ acc_out, std::int64_t out_stride,
+                  bool first_panel) {
+  bvec acc0[ROWS] = {};
+  bvec acc1[ROWS] = {};
   for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const bvec b0 = *reinterpret_cast<const bvec*>(bp + kk * NR);
-    const bvec b1 = *reinterpret_cast<const bvec*>(bp + kk * NR + VL);
+    const bvec b0 = *reinterpret_cast<const bvec*>(bp + kk * b_rs);
+    const bvec b1 = *reinterpret_cast<const bvec*>(bp + kk * b_rs + VL);
     const float* __restrict__ acol = ap + kk * a_ks;
-    for (int r = 0; r < MR; ++r) {
+    for (int r = 0; r < ROWS; ++r) {
       const float av = acol[r * a_rs];
       acc0[r] += av * b0;
       acc1[r] += av * b1;
@@ -85,13 +91,13 @@ void micro_kernel(const float* __restrict__ ap, std::int64_t a_rs,
   if (first_panel) {
     // First k-panel owns the store: skips the read half of the
     // read-modify-write, which is most of the C traffic when k <= KC.
-    for (int r = 0; r < MR; ++r) {
+    for (int r = 0; r < ROWS; ++r) {
       float* row = acc_out + r * out_stride;
       *reinterpret_cast<bvec*>(row) = acc0[r];
       *reinterpret_cast<bvec*>(row + VL) = acc1[r];
     }
   } else {
-    for (int r = 0; r < MR; ++r) {
+    for (int r = 0; r < ROWS; ++r) {
       float* row = acc_out + r * out_stride;
       *reinterpret_cast<bvec*>(row) += acc0[r];
       *reinterpret_cast<bvec*>(row + VL) += acc1[r];
@@ -99,16 +105,110 @@ void micro_kernel(const float* __restrict__ ap, std::int64_t a_rs,
   }
 }
 
+using MicroKernel = void (*)(const float*, std::int64_t, std::int64_t,
+                             const float*, std::int64_t, std::int64_t, float*,
+                             std::int64_t, bool);
+
+/// micro_kernel<rows> for a runtime row count in [1, MR].
+MicroKernel micro_kernel_for(std::int64_t rows) {
+  static constexpr MicroKernel kByRows[MR] = {
+      micro_kernel<1>, micro_kernel<2>, micro_kernel<3>, micro_kernel<4>,
+      micro_kernel<5>, micro_kernel<6>, micro_kernel<7>, micro_kernel<8>};
+  return kByRows[rows - 1];
+}
+
+// Adds (or, on the first k-panel, stores) the leading rows x nr block of an
+// NR-wide scratch tile into C.
+void store_edge(const float* acc, std::int64_t rows, std::int64_t nr,
+                float* ctile, std::int64_t n, bool first) {
+  for (std::int64_t rr = 0; rr < rows; ++rr) {
+    const float* arow = acc + rr * NR;
+    for (std::int64_t jj = 0; jj < nr; ++jj) {
+      if (first) {
+        ctile[rr * n + jj] = arow[jj];
+      } else {
+        ctile[rr * n + jj] += arow[jj];
+      }
+    }
+  }
+}
+
+// One row block (m <= MC) with unit-stride B columns: every B element is
+// used by at most MC rows, so packing B would touch each weight byte more
+// often than the product does. Full NR-wide panels are read in place at
+// B's row stride; only the last partial panel (n % NR columns) is packed
+// and zero-padded, once, on the calling thread. A is read in place at its
+// own strides. Each chunk of column panels owns disjoint C columns and
+// reduces k panel by panel in ascending order exactly like the packed
+// path, so results are bit-identical to it at any batch size, thread count
+// and chunking. Within a chunk the k-panel loop is outermost: one KC-row
+// band of B is swept across all the chunk's panels before the next, so
+// its rows' pages stay in the TLB.
+void gemm_in_place_b(const KernelContext& ctx, std::int64_t m, std::int64_t k,
+                     std::int64_t n, const float* a, std::int64_t a_rs,
+                     std::int64_t a_cs, const float* b, std::int64_t b_rs,
+                     float* c) {
+  const std::int64_t num_pc = ceil_div(k, KC);
+  const std::int64_t num_jt = ceil_div(n, NR);
+  const std::int64_t edge_jc = (n / NR) * NR;
+  thread_local std::vector<float> b_edge;
+  if (edge_jc < n) {
+    b_edge.resize(static_cast<std::size_t>(k * NR));
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      float* dst = b_edge.data() + kk * NR;
+      std::copy(b + kk * b_rs + edge_jc, b + kk * b_rs + n, dst);
+      std::fill(dst + (n - edge_jc), dst + NR, 0.0f);
+    }
+  }
+  const float* edge = b_edge.data();
+  // One chunk per thread, but at least ~1M multiply-adds per chunk.
+  const std::int64_t grain = std::max(
+      ceil_div(num_jt, std::max<std::int64_t>(1, ctx.threads)),
+      (std::int64_t{1} << 20) / (m * k * NR));
+  parallel_for(ctx, 0, num_jt, grain, [&](std::int64_t jt0, std::int64_t jt1) {
+    for (std::int64_t pi = 0; pi < num_pc; ++pi) {
+      const std::int64_t pc = pi * KC;
+      const std::int64_t kc = std::min(KC, k - pc);
+      const bool first = (pi == 0);
+      for (std::int64_t jt = jt0; jt < jt1; ++jt) {
+        const std::int64_t jc = jt * NR;
+        const std::int64_t nr = std::min(NR, n - jc);
+        const float* bp = nr == NR ? b + pc * b_rs + jc : edge + pc * NR;
+        const std::int64_t bp_rs = nr == NR ? b_rs : NR;
+        for (std::int64_t ic = 0; ic < m; ic += MR) {
+          const std::int64_t rows = std::min(MR, m - ic);
+          const float* ap = a + ic * a_rs + pc * a_cs;
+          float* ctile = c + ic * n + jc;
+          const MicroKernel kernel = micro_kernel_for(rows);
+          if (nr == NR) {
+            kernel(ap, a_rs, a_cs, bp, bp_rs, kc, ctile, n, first);
+            continue;
+          }
+          float acc[MR * NR] = {};
+          kernel(ap, a_rs, a_cs, bp, bp_rs, kc, acc, NR, true);
+          store_edge(acc, rows, nr, ctile, n, first);
+        }
+      }
+    }
+  });
+}
+
 // Generic strided GEMM core: c[m,n] += a'[m,k] x b'[k,n], where
 // a'(i,kk) = a[i*a_rs + kk*a_cs] and b'(kk,j) = b[kk*b_rs + j*b_cs].
 // Transposed operands are just different strides; the packing routines
 // linearize them into panels once, so the inner loops never see a stride.
+// A single row block with unit-stride B columns (batch-1 and small-batch
+// inference, where B is the weight matrix) skips packing: gemm_in_place_b.
 void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
                   std::int64_t n, const float* a, std::int64_t a_rs,
                   std::int64_t a_cs, const float* b, std::int64_t b_rs,
                   std::int64_t b_cs, float* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
   gemm_calls_counter().add();
+  if (b_cs == 1 && m <= MC) {
+    gemm_in_place_b(ctx, m, k, n, a, a_rs, a_cs, b, b_rs, c);
+    return;
+  }
   const std::int64_t num_pc = ceil_div(k, KC);
   const std::int64_t num_jt = ceil_div(n, NR);
 
@@ -184,21 +284,13 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
             const bool first = (pi == 0);
             if (rows == MR && nr == NR) {
               // Full interior tile: store/accumulate straight into C.
-              micro_kernel(ap, ap_rs, ap_ks, bslot, kc, ctile, n, first);
+              micro_kernel<MR>(ap, ap_rs, ap_ks, bslot, NR, kc, ctile, n,
+                               first);
               continue;
             }
             float acc[MR * NR] = {};
-            micro_kernel(ap, ap_rs, ap_ks, bslot, kc, acc, NR, true);
-            for (std::int64_t rr = 0; rr < rows; ++rr) {
-              const float* arow = acc + rr * NR;
-              for (std::int64_t jj = 0; jj < nr; ++jj) {
-                if (first) {
-                  ctile[rr * n + jj] = arow[jj];
-                } else {
-                  ctile[rr * n + jj] += arow[jj];
-                }
-              }
-            }
+            micro_kernel<MR>(ap, ap_rs, ap_ks, bslot, NR, kc, acc, NR, true);
+            store_edge(acc, rows, nr, ctile, n, first);
           }
         }
       }

@@ -6,10 +6,11 @@
 // callers and never observes how the math was scheduled. Two invariants
 // make that safe:
 //
-//  1. Determinism: parallel work is partitioned into fixed chunks that
-//     depend only on the problem shape (see runtime::ThreadPool), and every
-//     chunk owns a disjoint slice of the output, so results are
-//     bit-identical at any thread count.
+//  1. Determinism: parallel work is partitioned into chunks that each own
+//     a disjoint slice of the output, and no output element's arithmetic
+//     depends on where the chunk boundaries fall (most kernels fix them
+//     from the problem shape alone, see runtime::ThreadPool), so results
+//     are bit-identical at any thread count.
 //  2. Accumulation order: within one output element the k-dimension is
 //     always reduced in ascending order, panel by panel, so small problems
 //     (k <= KC) reproduce the naive triple-loop bit-for-bit.
@@ -42,7 +43,10 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
 // product (the first k-panel stores, later panels accumulate — prior
 // contents of `c` never contribute, and single-panel problems touch each
 // output element exactly once). m/k/n are always the logical GEMM dims:
-// c is [m,n], the reduction runs over k.
+// c is [m,n], the reduction runs over k. Problems of at most 72 rows with
+// unit-stride B columns (gemm, gemm_tn: batch-1 and small-batch inference)
+// read B in place instead of packing it; the results are bit-identical to
+// the packed path's.
 
 /// c[m,n] = a[m,k] · b[k,n]
 void gemm(const KernelContext& ctx, std::int64_t m, std::int64_t k,

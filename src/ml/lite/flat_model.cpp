@@ -20,6 +20,9 @@ constexpr std::uint32_t kVersion = 2;
 // uncalibrated models keep producing byte-identical version-2 files, and
 // deserialize() accepts both.
 constexpr std::uint32_t kVersionCalibrated = 3;
+// Bound on the element count a reshape target may name; far above any
+// model here, far below int64 overflow when scaled by a batch size.
+constexpr std::int64_t kMaxElements = std::int64_t{1} << 40;
 
 // ml.quant.* series register lazily on first use of the int8/calibration
 // path, so float-only runs keep their registry exports (and the committed
@@ -48,6 +51,7 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
                                  const std::string& input_name,
                                  const std::string& output_name) {
   FlatModel model;
+  std::vector<float> arena;
   const NodeId output_id = graph.find(output_name);
   const auto order = graph.topological_order({output_id});
 
@@ -78,9 +82,8 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
         const Tensor& value = *node.value;
         LiteTensorDesc desc;
         desc.shape = value.shape();
-        desc.weight_offset = static_cast<std::int64_t>(model.weights_.size());
-        model.weights_.insert(model.weights_.end(), value.data(),
-                              value.data() + value.size());
+        desc.weight_offset = static_cast<std::int64_t>(arena.size());
+        arena.insert(arena.end(), value.data(), value.data() + value.size());
         const auto idx = static_cast<std::int32_t>(model.tensors_.size());
         model.tensors_.push_back(std::move(desc));
         tensor_of[id] = idx;
@@ -105,7 +108,16 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
                                 input_name + "'");
   }
   model.output_ = tensor_of.at(output_id);
+  model.weights_ = std::make_shared<const std::vector<float>>(std::move(arena));
   return model;
+}
+
+Tensor FlatModel::weight_view(std::int32_t idx) const {
+  const LiteTensorDesc& desc = tensors_.at(static_cast<std::size_t>(idx));
+  if (quantized_ || !desc.is_weight()) {
+    throw std::logic_error("FlatModel: weight_view needs a float weight");
+  }
+  return Tensor::view(desc.shape, weights_, desc.weight_offset);
 }
 
 crypto::Bytes FlatModel::serialize() const {
@@ -163,10 +175,10 @@ crypto::Bytes FlatModel::serialize() const {
     const auto* raw = reinterpret_cast<const std::uint8_t*>(qweights_.data());
     crypto::append(out, crypto::BytesView(raw, qweights_.size()));
   } else {
-    i64(static_cast<std::int64_t>(weights_.size()));
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(weights_.data());
+    i64(static_cast<std::int64_t>(weights_->size()));
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(weights_->data());
     crypto::append(out,
-                   crypto::BytesView(raw, weights_.size() * sizeof(float)));
+                   crypto::BytesView(raw, weights_->size() * sizeof(float)));
   }
   return out;
 }
@@ -174,7 +186,7 @@ crypto::Bytes FlatModel::serialize() const {
 FlatModel FlatModel::deserialize(crypto::BytesView data) {
   std::size_t cursor = 0;
   auto need = [&](std::size_t n) {
-    if (cursor + n > data.size()) {
+    if (n > data.size() - cursor) {
       throw std::runtime_error("FlatModel: truncated model file");
     }
   };
@@ -198,6 +210,15 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     for (auto& d : s) d = i64();
     return s;
   };
+  // A count of records is plausible only if the rest of the file could hold
+  // that many of their smallest encoding; checked before anything reserves.
+  auto count = [&](std::size_t min_record_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (data.size() - cursor) / min_record_bytes) {
+      throw std::runtime_error("FlatModel: truncated model file");
+    }
+    return n;
+  };
 
   if (u32() != kLiteMagic) throw std::runtime_error("FlatModel: bad magic");
   const std::uint32_t version = u32();
@@ -209,12 +230,24 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   model.calibrated_ = version == kVersionCalibrated;
   need(1);
   model.quantized_ = data[cursor++] != 0;
-  const std::uint32_t n_tensors = u32();
+  // Smallest tensor record: rank, offset, scale (+ the calibrated range).
+  const std::uint32_t n_tensors = count(model.calibrated_ ? 24 : 16);
+  const auto tensor_index = [&](const char* what) {
+    const std::uint32_t idx = u32();
+    if (idx >= n_tensors) {
+      throw std::runtime_error(std::string("FlatModel: ") + what +
+                               " tensor index out of range");
+    }
+    return static_cast<std::int32_t>(idx);
+  };
   model.tensors_.reserve(n_tensors);
   for (std::uint32_t i = 0; i < n_tensors; ++i) {
     LiteTensorDesc desc;
     desc.shape = shape();
     desc.weight_offset = i64();
+    if (desc.weight_offset < -1) {
+      throw std::runtime_error("FlatModel: negative weight offset");
+    }
     const std::uint32_t scale_bits = u32();
     std::memcpy(&desc.quant_scale, &scale_bits, 4);
     if (model.calibrated_) {
@@ -225,7 +258,8 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     }
     model.tensors_.push_back(std::move(desc));
   }
-  const std::uint32_t n_ops = u32();
+  // Smallest op record: type, stride, window, scalar, rank, n_inputs, output.
+  const std::uint32_t n_ops = count(33);
   model.ops_.reserve(n_ops);
   for (std::uint32_t i = 0; i < n_ops; ++i) {
     LiteOp op;
@@ -236,36 +270,75 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     const std::uint32_t scalar_bits = u32();
     std::memcpy(&op.attrs.scalar, &scalar_bits, 4);
     op.attrs.target_shape = shape();
-    const std::uint32_t n_inputs = u32();
-    for (std::uint32_t j = 0; j < n_inputs; ++j) {
-      op.inputs.push_back(static_cast<std::int32_t>(u32()));
+    // Reshape targets: positive dims plus at most one inferred (-1) dim,
+    // with a product far from overflow.
+    std::int64_t known = 1;
+    int inferred = 0;
+    for (const std::int64_t d : op.attrs.target_shape) {
+      if (d == -1) {
+        ++inferred;
+      } else if (d <= 0 || known > kMaxElements / d) {
+        throw std::runtime_error("FlatModel: implausible reshape target");
+      } else {
+        known *= d;
+      }
     }
-    op.output = static_cast<std::int32_t>(u32());
+    if (inferred > 1) {
+      throw std::runtime_error("FlatModel: implausible reshape target");
+    }
+    const std::uint32_t n_inputs = count(4);
+    for (std::uint32_t j = 0; j < n_inputs; ++j) {
+      op.inputs.push_back(tensor_index("op input"));
+    }
+    op.output = tensor_index("op output");
     model.ops_.push_back(std::move(op));
   }
-  model.input_ = static_cast<std::int32_t>(u32());
-  model.output_ = static_cast<std::int32_t>(u32());
+  model.input_ = tensor_index("model input");
+  model.output_ = tensor_index("model output");
   const std::int64_t n_weights = i64();
-  if (model.quantized_) {
-    need(static_cast<std::size_t>(n_weights));
-    model.qweights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.qweights_.data(), data.data() + cursor,
-                static_cast<std::size_t>(n_weights));
-    cursor += static_cast<std::size_t>(n_weights);
-  } else {
-    const std::size_t weight_bytes =
-        static_cast<std::size_t>(n_weights) * sizeof(float);
-    need(weight_bytes);
-    model.weights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.weights_.data(), data.data() + cursor, weight_bytes);
-    cursor += weight_bytes;
+  const std::size_t elem_size = model.quantized_ ? 1 : sizeof(float);
+  if (n_weights < 0 ||
+      static_cast<std::uint64_t>(n_weights) > (data.size() - cursor) / elem_size) {
+    throw std::runtime_error("FlatModel: truncated model file");
   }
+  // Every weight window must lie inside the arena: the interpreter reads
+  // it in place. The element count is bounded by the room left after the
+  // offset, one dimension at a time, so the product cannot overflow.
+  for (const LiteTensorDesc& desc : model.tensors_) {
+    if (!desc.is_weight()) continue;
+    if (desc.weight_offset > n_weights) {
+      throw std::runtime_error("FlatModel: weight offset past the arena");
+    }
+    const std::int64_t room = n_weights - desc.weight_offset;
+    std::int64_t elements = 1;
+    for (const std::int64_t d : desc.shape) {
+      if (d < 0) throw std::runtime_error("FlatModel: negative dimension");
+      if (d > 0 && elements > room / d) {
+        throw std::runtime_error("FlatModel: weight tensor overruns the arena");
+      }
+      elements *= d;
+    }
+    if (elements > room) {
+      throw std::runtime_error("FlatModel: weight tensor overruns the arena");
+    }
+  }
+  const std::size_t weight_bytes =
+      static_cast<std::size_t>(n_weights) * elem_size;
+  if (model.quantized_) {
+    model.qweights_.resize(static_cast<std::size_t>(n_weights));
+    std::memcpy(model.qweights_.data(), data.data() + cursor, weight_bytes);
+  } else {
+    std::vector<float> arena(static_cast<std::size_t>(n_weights));
+    std::memcpy(arena.data(), data.data() + cursor, weight_bytes);
+    model.weights_ =
+        std::make_shared<const std::vector<float>>(std::move(arena));
+  }
+  cursor += weight_bytes;
   if (cursor != data.size()) {
     throw std::runtime_error("FlatModel: trailing bytes");
   }
   return model;
 }
-
 
 FlatModel FlatModel::quantized() const {
   if (quantized_) return *this;
@@ -275,11 +348,11 @@ FlatModel FlatModel::quantized() const {
   q.input_ = input_;
   q.output_ = output_;
   q.quantized_ = true;
-  q.qweights_.reserve(weights_.size());
+  q.qweights_.reserve(weights_->size());
   for (auto& desc : q.tensors_) {
     if (!desc.is_weight()) continue;
     const std::int64_t n = num_elements(desc.shape);
-    const float* w = weights_.data() + desc.weight_offset;
+    const float* w = weights_->data() + desc.weight_offset;
     float max_abs = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       max_abs = std::max(max_abs, std::abs(w[i]));
@@ -493,6 +566,8 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
   last_int8_ops_ = 0;
   if (observer_ != nullptr) (*observer_)(model_.input_tensor(), input);
 
+  // Float weights are O(1) views into the model's arena; only the
+  // dequantize-on-load path of an int8 model builds an owned tensor.
   auto materialize = [&](std::int32_t idx) -> const Tensor& {
     auto& slot = values[static_cast<std::size_t>(idx)];
     if (!ready[static_cast<std::size_t>(idx)]) {
@@ -500,21 +575,19 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
       if (!desc.is_weight()) {
         throw std::logic_error("Lite: activation used before production");
       }
-      const std::int64_t n = num_elements(desc.shape);
-      std::vector<float> data(static_cast<std::size_t>(n));
       if (model_.is_quantized()) {
+        const std::int64_t n = num_elements(desc.shape);
+        std::vector<float> data(static_cast<std::size_t>(n));
         const std::int8_t* qw = model_.qweights().data() + desc.weight_offset;
         for (std::int64_t i = 0; i < n; ++i) {
           data[static_cast<std::size_t>(i)] =
               static_cast<float>(qw[i]) * desc.quant_scale;
         }
         last_flops_ += static_cast<double>(n);  // dequantization work
+        slot = Tensor(desc.shape, std::move(data));
       } else {
-        std::copy(model_.weights().begin() + desc.weight_offset,
-                  model_.weights().begin() + desc.weight_offset + n,
-                  data.begin());
+        slot = model_.weight_view(idx);
       }
-      slot = Tensor(desc.shape, std::move(data));
       ready[static_cast<std::size_t>(idx)] = true;
     }
     return slot;

@@ -97,7 +97,10 @@ class FlatModel {
   [[nodiscard]] const std::vector<LiteTensorDesc>& tensors() const {
     return tensors_;
   }
-  [[nodiscard]] const std::vector<float>& weights() const { return weights_; }
+  [[nodiscard]] const std::vector<float>& weights() const { return *weights_; }
+  /// O(1) read-only view of float weight tensor `idx` into the arena: the
+  /// float interpreter's weight operands (no element is copied).
+  [[nodiscard]] Tensor weight_view(std::int32_t idx) const;
   [[nodiscard]] const std::vector<std::int8_t>& qweights() const {
     return qweights_;
   }
@@ -107,13 +110,15 @@ class FlatModel {
   /// Total weight bytes — the dominant part of the model file size
   /// (4 bytes/element float, 1 byte/element quantized).
   [[nodiscard]] std::uint64_t weight_bytes() const {
-    return quantized_ ? qweights_.size() : weights_.size() * sizeof(float);
+    return quantized_ ? qweights_.size() : weights_->size() * sizeof(float);
   }
 
  private:
   std::vector<LiteTensorDesc> tensors_;
   std::vector<LiteOp> ops_;
-  std::vector<float> weights_;
+  /// The float arena. Immutable once built, so copies of the model and the
+  /// weight views handed to interpreters share it.
+  SharedFloats weights_ = std::make_shared<const std::vector<float>>();
   std::vector<std::int8_t> qweights_;
   bool quantized_ = false;
   bool calibrated_ = false;

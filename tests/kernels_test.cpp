@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <vector>
 
 #include "crypto/drbg.h"
@@ -173,8 +175,13 @@ TEST(KernelDeterminism, BitIdenticalAcrossPoolSizes) {
   const Tensor filter = random_tensor(rng, {3, 3, 5, 9});
   const auto s = kernels::conv_shape(2, 17, 13, 5, 3, 3, 9, 2);
   const Tensor grad_out = random_tensor(rng, {2, s.oh, s.ow, 9});
+  // Batch-1 and batch-8 rows take the in-place (pack-free) GEMM path.
+  const Tensor a1 = random_tensor(rng, {1, 300});
+  const Tensor a8 = random_tensor(rng, {8, 300});
 
   const auto mm_serial = ops::matmul(a, b, KernelContext{});
+  const auto mm1_serial = ops::matmul(a1, b, KernelContext{});
+  const auto mm8_serial = ops::matmul(a8, b, KernelContext{});
   const auto conv_serial = ops::conv2d(input, filter, 2, KernelContext{});
   const auto gi_serial =
       ops::conv2d_grad_input(input, filter, grad_out, 2, KernelContext{});
@@ -185,6 +192,10 @@ TEST(KernelDeterminism, BitIdenticalAcrossPoolSizes) {
     runtime::ThreadPool pool(threads);
     const KernelContext ctx{&pool, pool.thread_count()};
     EXPECT_EQ(ops::matmul(a, b, ctx).output, mm_serial.output)
+        << threads << " threads";
+    EXPECT_EQ(ops::matmul(a1, b, ctx).output, mm1_serial.output)
+        << threads << " threads";
+    EXPECT_EQ(ops::matmul(a8, b, ctx).output, mm8_serial.output)
         << threads << " threads";
     EXPECT_EQ(ops::conv2d(input, filter, 2, ctx).output, conv_serial.output)
         << threads << " threads";
@@ -211,6 +222,74 @@ TEST(KernelDeterminism, SmallShapesAreBitExactAgainstNaive) {
   for (std::int64_t i = 0; i < got.output.size(); ++i) {
     EXPECT_EQ(got.output.at(i), want[static_cast<std::size_t>(i)])
         << "element " << i;
+  }
+}
+
+// Index of the first element where got[0, count) and want differ bitwise
+// (memcmp semantics: -0.0 != 0.0, NaN payloads compared), or -1.
+std::int64_t first_bit_difference(const float* got, const float* want,
+                                  std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    if (std::memcmp(got + i, want + i, sizeof(float)) != 0) return i;
+  }
+  return -1;
+}
+
+// GEMMs of at most one MC row block read B in place and issue micro-tiles
+// of exactly their row count; a 73-row GEMM packs B and runs full 8-row
+// tiles. Every output row must come out bit-identical either way, across
+// the KC panel edge (k = 255/256/257, and 12 panels at k = 3072) and every
+// NR column edge (n = 1, 10, 31, 32, 33, 1024). gemm_tn reads the same
+// rows through a transposed, strided A.
+TEST(KernelDeterminism, InPlaceRowsMatchPackedRowsBitForBit) {
+  // Millions of operand elements: a Mersenne twister fills them far faster
+  // than the DRBG (24 random bits mapped onto [-1, 1)).
+  std::mt19937 gen(20261019);
+  const auto random_tensor = [&gen](Shape shape) {
+    Tensor t(std::move(shape));
+    float* p = t.data();
+    for (std::int64_t i = 0; i < t.size(); ++i) {
+      p[i] = static_cast<float>(gen() >> 8) * 0x1p-23f - 1.0f;
+    }
+    return t;
+  };
+  constexpr std::int64_t kPackedRows = 73;
+  const std::int64_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 72};
+  for (const std::int64_t k : {255, 256, 257, 3072}) {
+    const Tensor a = random_tensor({kPackedRows, k});
+    for (const std::int64_t n : {1, 10, 31, 32, 33, 1024}) {
+      const Tensor b = random_tensor({k, n});
+      std::vector<float> packed(static_cast<std::size_t>(kPackedRows * n));
+      kernels::gemm(KernelContext{}, kPackedRows, k, n, a.data(), b.data(),
+                    packed.data());
+      for (const std::int64_t m : row_counts) {
+        // Leading rows, then trailing rows (which include the packed
+        // GEMM's one-row edge block).
+        for (const std::int64_t r0 : {std::int64_t{0}, kPackedRows - m}) {
+          const float* want = packed.data() + r0 * n;
+          std::vector<float> rows(static_cast<std::size_t>(m * n), -7.0f);
+          kernels::gemm(KernelContext{}, m, k, n, a.data() + r0 * k,
+                        b.data(), rows.data());
+          ASSERT_EQ(first_bit_difference(rows.data(), want, m * n), -1)
+              << "gemm m=" << m << " rows from " << r0 << " k=" << k
+              << " n=" << n;
+
+          std::vector<float> at(static_cast<std::size_t>(k * m));
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            for (std::int64_t i = 0; i < m; ++i) {
+              at[static_cast<std::size_t>(kk * m + i)] =
+                  a.data()[(r0 + i) * k + kk];
+            }
+          }
+          std::fill(rows.begin(), rows.end(), -7.0f);
+          kernels::gemm_tn(KernelContext{}, m, k, n, at.data(), b.data(),
+                           rows.data());
+          ASSERT_EQ(first_bit_difference(rows.data(), want, m * n), -1)
+              << "gemm_tn m=" << m << " rows from " << r0 << " k=" << k
+              << " n=" << n;
+        }
+      }
+    }
   }
 }
 

@@ -37,6 +37,76 @@ TEST(TensorTest, Reshape) {
   EXPECT_THROW((void)t.reshaped({4, 2}), std::invalid_argument);
 }
 
+TEST(TensorTest, ViewAliasesItsStore) {
+  const auto store = std::make_shared<const std::vector<float>>(
+      std::vector<float>{1, 2, 3, 4, 5, 6, 7});
+  const Tensor v = Tensor::view({2, 3}, store, 1);
+  EXPECT_TRUE(v.is_view());
+  EXPECT_EQ(v.data(), store->data() + 1);
+  EXPECT_EQ(v.size(), 6);
+  EXPECT_EQ(v.byte_size(), 24u);
+  EXPECT_FLOAT_EQ(v.at2(1, 2), 7.0f);
+  EXPECT_THROW((void)v.at(6), std::out_of_range);
+  // A move keeps viewing the store; a copy owns its elements.
+  Tensor moved = Tensor::view({2, 3}, store, 1);
+  const Tensor still_view = std::move(moved);
+  EXPECT_TRUE(still_view.is_view());
+  EXPECT_EQ(still_view.data(), store->data() + 1);
+  const Tensor copy = v;
+  EXPECT_FALSE(copy.is_view());
+  EXPECT_NE(copy.data(), v.data());
+  EXPECT_EQ(copy, v);
+  EXPECT_THROW((void)Tensor::view({2, 4}, store, 0), std::invalid_argument);
+  EXPECT_THROW((void)Tensor::view({1}, store, -1), std::invalid_argument);
+  EXPECT_THROW((void)Tensor::view({1}, nullptr, 0), std::invalid_argument);
+}
+
+TEST(TensorTest, MutatingACopyOfAViewLeavesTheStoreUnchanged) {
+  const std::vector<float> values{1, 2, 3, 4};
+  const auto store = std::make_shared<const std::vector<float>>(values);
+  const Tensor v = Tensor::view({2, 2}, store, 0);
+  Tensor copy = v;
+  copy.at(0) = 9.0f;
+  EXPECT_FLOAT_EQ(copy.at(0), 9.0f);
+  EXPECT_FLOAT_EQ(copy.at(3), 4.0f);
+  // Mutable data() on a view copies first; at() refuses to write through
+  // one.
+  Tensor writer = Tensor::view({2, 2}, store, 0);
+  EXPECT_THROW(writer.at(1) = -1.0f, std::logic_error);
+  writer.data()[1] = -1.0f;
+  EXPECT_FALSE(writer.is_view());
+  EXPECT_FLOAT_EQ(writer.at(1), -1.0f);
+  EXPECT_EQ(*store, values);
+  EXPECT_FLOAT_EQ(v.at(1), 2.0f);
+  EXPECT_TRUE(v.is_view());
+}
+
+TEST(TensorTest, EqualityComparesContentsWhateverTheStorage) {
+  const auto store = std::make_shared<const std::vector<float>>(
+      std::vector<float>{1, 2, 3, 4});
+  const Tensor v = Tensor::view({2, 2}, store, 0);
+  EXPECT_EQ(v, Tensor({2, 2}, {1, 2, 3, 4}));
+  EXPECT_EQ(Tensor({2, 2}, {1, 2, 3, 4}), v);
+  EXPECT_FALSE(v == Tensor({2, 2}, {1, 2, 3, 5}));
+  EXPECT_FALSE(v == Tensor({4}, {1, 2, 3, 4}));
+  EXPECT_FALSE(Tensor::view({2}, store, 0) == Tensor::view({2}, store, 2));
+}
+
+TEST(TensorTest, ReshapedViewAliasesAndOwnedReshapeCopies) {
+  const auto store = std::make_shared<const std::vector<float>>(
+      std::vector<float>{1, 2, 3, 4, 5, 6});
+  const Tensor v = Tensor::view({2, 3}, store, 0);
+  const Tensor r = v.reshaped({3, 2});
+  EXPECT_TRUE(r.is_view());
+  EXPECT_EQ(r.data(), store->data());
+  EXPECT_EQ(r.shape(), (Shape{3, 2}));
+  EXPECT_THROW((void)v.reshaped({4, 2}), std::invalid_argument);
+  const Tensor owned({2, 3}, {1, 2, 3, 4, 5, 6});
+  const Tensor owned_r = owned.reshaped({6});
+  EXPECT_FALSE(owned_r.is_view());
+  EXPECT_NE(owned_r.data(), owned.data());
+}
+
 TEST(GraphTest, RejectsDuplicatesAndBadInputs) {
   Graph g;
   GraphBuilder b(g);
@@ -576,6 +646,34 @@ TEST(LiteTest, DeserializeRejectsGarbage) {
                   .serialize();
   blob.pop_back();
   EXPECT_THROW((void)lite::FlatModel::deserialize(blob), std::runtime_error);
+}
+
+TEST(LiteTest, FloatInvokeReadsWeightsInPlace) {
+  Graph g = mnist_mlp(16, 5);
+  Session session(g);
+  const auto model = lite::FlatModel::from_frozen(freeze(g, session), "input",
+                                                  "probs");
+  const std::vector<float> before = model.weights();
+  const float* arena = model.weights().data();
+  for (std::size_t i = 0; i < model.tensors().size(); ++i) {
+    const auto& desc = model.tensors()[i];
+    if (!desc.is_weight()) continue;
+    const Tensor w = model.weight_view(static_cast<std::int32_t>(i));
+    EXPECT_TRUE(w.is_view());
+    EXPECT_EQ(w.data(), arena + desc.weight_offset);
+    EXPECT_EQ(w.shape(), desc.shape);
+  }
+
+  lite::LiteInterpreter interp(model);
+  const Dataset d = synthetic_mnist(3, 31);
+  const Tensor first = interp.invoke(d.sample(0));
+  const Tensor x1 = d.sample(1), x2 = d.sample(2);
+  const auto batched = interp.invoke_batch({&x1, &x2});
+  ASSERT_EQ(batched.size(), 2u);
+  EXPECT_EQ(batched[0], interp.invoke(x1));
+  EXPECT_EQ(interp.invoke(d.sample(0)), first);
+  EXPECT_EQ(model.weights().data(), arena);
+  EXPECT_EQ(model.weights(), before);
 }
 
 TEST(LiteTest, ConvnetLowersAndRuns) {

@@ -385,6 +385,137 @@ TEST(SerializeProperty, TruncatedLiteModelNeverCrashes) {
   }
 }
 
+// Byte positions of the fields of a serialized float FlatModel (format
+// version 2) that name tensors or weight windows.
+struct LiteLayout {
+  std::uint32_t n_tensors = 0;
+  std::vector<std::size_t> weight_offset;  ///< per weight tensor
+  std::vector<std::size_t> first_dim;      ///< per weight tensor
+  std::vector<std::size_t> op_index;       ///< every op input and output
+  std::vector<std::size_t> target_dim;     ///< every reshape target dim
+  std::size_t model_input = 0, model_output = 0, n_weights = 0;
+  std::int64_t arena = 0;                  ///< weight elements
+};
+
+LiteLayout lite_layout(const Bytes& blob) {
+  LiteLayout l;
+  std::size_t pos = 9;  // magic, version, quantized flag
+  l.n_tensors = crypto::load_be32(blob.data() + pos);
+  pos += 4;
+  for (std::uint32_t i = 0; i < l.n_tensors; ++i) {
+    const std::uint32_t rank = crypto::load_be32(blob.data() + pos);
+    const std::size_t dims = pos + 4;
+    pos = dims + 8 * rank;
+    if (static_cast<std::int64_t>(crypto::load_be64(blob.data() + pos)) >= 0 &&
+        rank > 0) {
+      l.weight_offset.push_back(pos);
+      l.first_dim.push_back(dims);
+    }
+    pos += 8 + 4;  // offset, quant scale
+  }
+  const std::uint32_t n_ops = crypto::load_be32(blob.data() + pos);
+  pos += 4;
+  for (std::uint32_t i = 0; i < n_ops; ++i) {
+    pos += 1 + 8 + 8 + 4;  // type, stride, window, scalar
+    const std::uint32_t target_rank = crypto::load_be32(blob.data() + pos);
+    pos += 4;
+    for (std::uint32_t j = 0; j < target_rank; ++j) {
+      l.target_dim.push_back(pos);
+      pos += 8;
+    }
+    const std::uint32_t n_inputs = crypto::load_be32(blob.data() + pos);
+    pos += 4;
+    for (std::uint32_t j = 0; j <= n_inputs; ++j) {  // inputs, then output
+      l.op_index.push_back(pos);
+      pos += 4;
+    }
+  }
+  l.model_input = pos;
+  l.model_output = pos + 4;
+  l.n_weights = pos + 8;
+  l.arena = static_cast<std::int64_t>(crypto::load_be64(blob.data() + pos + 8));
+  return l;
+}
+
+// Each mutation would make the interpreter read outside the weight arena,
+// index past the tensor table, overflow an element count or ask for an
+// absurd allocation; deserialize must reject every one with a typed error
+// before any tensor is built. The MLP has only dense layers; the convnet
+// adds conv filters and a reshape.
+class CorruptLiteModel : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CorruptLiteModel, IsRejected) {
+  const ml::Graph g = GetParam() ? ml::mnist_convnet(3) : ml::mnist_mlp(8, 3);
+  ml::Session s(g);
+  const Bytes blob =
+      ml::lite::FlatModel::from_frozen(ml::freeze(g, s), "input", "probs")
+          .serialize();
+  const LiteLayout layout = lite_layout(blob);
+  ASSERT_FALSE(layout.weight_offset.empty());
+  ASSERT_FALSE(layout.op_index.empty());
+  ASSERT_EQ(layout.target_dim.empty(), !GetParam());
+  ASSERT_EQ(layout.n_weights + 8 + layout.arena * 4, blob.size());
+  {
+    const auto model = ml::lite::FlatModel::deserialize(blob);
+    ml::lite::LiteInterpreter interp(model);
+    EXPECT_EQ(interp.invoke(ml::synthetic_mnist(1, 5).sample(0)).size(), 10);
+  }
+
+  std::vector<std::pair<std::string, Bytes>> corrupt;
+  const auto with_u32 = [&](const std::string& what, std::size_t pos,
+                            std::uint32_t v) {
+    Bytes b = blob;
+    crypto::store_be32(b.data() + pos, v);
+    corrupt.emplace_back(what, std::move(b));
+  };
+  const auto with_i64 = [&](const std::string& what, std::size_t pos,
+                            std::int64_t v) {
+    Bytes b = blob;
+    crypto::store_be64(b.data() + pos, static_cast<std::uint64_t>(v));
+    corrupt.emplace_back(what, std::move(b));
+  };
+  for (const std::size_t pos : layout.op_index) {
+    with_u32("op index = n_tensors", pos, layout.n_tensors);
+    with_u32("op index = 2^31", pos, 0x80000000u);
+    with_u32("op index = 2^32-1", pos, 0xFFFFFFFFu);
+  }
+  with_u32("model input index", layout.model_input, layout.n_tensors);
+  with_u32("model output index", layout.model_output, 0xFFFFFFFFu);
+  for (std::size_t i = 0; i < layout.weight_offset.size(); ++i) {
+    const std::size_t off = layout.weight_offset[i];
+    with_i64("offset past the arena", off, layout.arena + 1);
+    with_i64("window overruns the arena", off, layout.arena - 1);
+    with_i64("offset near int64 max", off, INT64_MAX - 4);
+    with_i64("negative offset", off, -2);
+    with_i64("huge dim", layout.first_dim[i], std::int64_t{1} << 62);
+    with_i64("overflowing dim", layout.first_dim[i], INT64_MAX);
+    with_i64("negative dim", layout.first_dim[i], -3);
+  }
+  for (const std::size_t pos : layout.target_dim) {
+    with_i64("zero reshape dim", pos, 0);
+    with_i64("negative reshape dim", pos, -2);
+    with_i64("huge reshape dim", pos, INT64_MAX);
+  }
+  if (layout.target_dim.size() >= 2) {
+    Bytes b = blob;
+    crypto::store_be64(b.data() + layout.target_dim[0], ~std::uint64_t{0});
+    crypto::store_be64(b.data() + layout.target_dim[1], ~std::uint64_t{0});
+    corrupt.emplace_back("two inferred reshape dims", std::move(b));
+  }
+  with_u32("huge tensor count", 9, 0xFFFFFFFFu);
+  with_i64("negative arena size", layout.n_weights, -1);
+  with_i64("huge arena size", layout.n_weights, std::int64_t{1} << 61);
+
+  for (const auto& [what, bytes] : corrupt) {
+    EXPECT_THROW((void)ml::lite::FlatModel::deserialize(bytes),
+                 std::runtime_error)
+        << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MlpAndConvnet, CorruptLiteModel,
+                         ::testing::Bool());
+
 TEST(SerializeProperty, TensorMapRoundTripRandom) {
   crypto::HmacDrbg rng(to_bytes("tmap"));
   for (int trial = 0; trial < 10; ++trial) {
