@@ -5,7 +5,8 @@
 // scratch crypto that the shields run for real, the EPC manager's
 // bookkeeping overhead, and the ML kernels. The crypto benches run on the
 // backend this host dispatches to; their *Portable twins force the portable
-// kernels so both speeds show side by side.
+// kernels so both speeds show side by side. The int8 GEMM benches likewise
+// have *Portable and *Reference twins (kernels::GemmS8Scope).
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.h"
@@ -268,6 +269,89 @@ void BM_LiteInvokeBatch1(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LiteInvokeBatch1)->Unit(benchmark::kMillisecond);
+
+// int8 GEMM: arg = m (batch rows) against a 1024x1024 int8 weight matrix,
+// the hidden layer of the serve_failover model, on a serial context. The
+// twins run the same call through the portable tile and through the scalar
+// reference row loop.
+void gemm_s8_bench(benchmark::State& state, ml::kernels::GemmS8Impl impl) {
+  const std::int64_t m = state.range(0);
+  const std::int64_t k = 1024;
+  const std::int64_t n = 1024;
+  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+  std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<std::int8_t>(static_cast<int>(i * 7 % 255) - 127);
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = static_cast<std::int8_t>(static_cast<int>(i * 13 % 255) - 127);
+  }
+  std::vector<std::int8_t> c(static_cast<std::size_t>(m * n));
+  const ml::kernels::KernelContext serial{};
+  const ml::kernels::GemmS8Scope scope(impl);
+  for (auto _ : state) {
+    ml::kernels::gemm_s8(serial, m, k, n, a.data(), b.data(), 1e-5f,
+                         c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(m * k * n) * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+void BM_GemmS8(benchmark::State& state) {
+  gemm_s8_bench(state, ml::kernels::GemmS8Impl::kNative);
+}
+void BM_GemmS8Portable(benchmark::State& state) {
+  gemm_s8_bench(state, ml::kernels::GemmS8Impl::kPortable);
+}
+void BM_GemmS8Reference(benchmark::State& state) {
+  gemm_s8_bench(state, ml::kernels::GemmS8Impl::kReference);
+}
+BENCHMARK(BM_GemmS8)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmS8Portable)->Arg(1)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmS8Reference)->Arg(1)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
+// int8 Lite invoke of the serve_failover model (the 8 MB sized_classifier,
+// calibrated) on a serial context: arg = batch size, one invoke_batch per
+// iteration. The reference twin runs the same interpreter with the scalar
+// reference GEMM.
+void lite_invoke_int8_bench(benchmark::State& state,
+                            ml::kernels::GemmS8Impl impl) {
+  const std::int64_t batch = state.range(0);
+  const ml::Graph graph = ml::sized_classifier("serve", 8ull << 20, 1024, 10, 1);
+  ml::Session session(graph);
+  std::vector<ml::Tensor> inputs;
+  for (int i = 0; i < 8; ++i) inputs.push_back(filled({1, 1024}, 11 + i));
+  const ml::lite::FlatModel model =
+      ml::lite::FlatModel::from_frozen(ml::freeze(graph, session), "input",
+                                       "probs")
+          .quantized(inputs);
+  ml::lite::LiteInterpreter interpreter(model, nullptr,
+                                        ml::kernels::KernelContext{},
+                                        /*weight_streaming=*/false,
+                                        /*int8_compute=*/true);
+  std::vector<const ml::Tensor*> batch_inputs;
+  for (std::int64_t i = 0; i < batch; ++i) {
+    batch_inputs.push_back(&inputs[static_cast<std::size_t>(i)]);
+  }
+  const ml::kernels::GemmS8Scope scope(impl);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(interpreter.invoke_batch(batch_inputs));
+  }
+}
+void BM_LiteInvokeInt8Batch(benchmark::State& state) {
+  lite_invoke_int8_bench(state, ml::kernels::GemmS8Impl::kNative);
+}
+void BM_LiteInvokeInt8BatchReference(benchmark::State& state) {
+  lite_invoke_int8_bench(state, ml::kernels::GemmS8Impl::kReference);
+}
+BENCHMARK(BM_LiteInvokeInt8Batch)->Arg(1)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LiteInvokeInt8BatchReference)->Arg(1)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -19,13 +19,8 @@ obs::Counter& conv_calls_counter() {
       obs::names::kKernelConvCalls, "im2col conv kernel invocations");
   return c;
 }
-// The int8 counters register lazily on first use so float-only runs keep
+// The int8 counter registers lazily on first use so float-only runs keep
 // their registry exports (and committed BENCH baselines) byte-identical.
-obs::Counter& int8_gemm_calls_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kQuantGemmCalls, "int8 blocked GEMM core invocations");
-  return c;
-}
 obs::Counter& int8_conv_calls_counter() {
   static obs::Counter& c = obs::Registry::global().counter(
       obs::names::kQuantConvCalls, "int8 im2col conv kernel invocations");
@@ -482,56 +477,6 @@ void conv2d_grad_filter(const KernelContext& ctx, const ConvShape& s,
   // grad_filter[patch, k] += colᵀ[patch, rows] x grad_output[rows, k].
   gemm_strided(ctx, patch, rows, s.k, col.data(), 1, patch, grad_output, s.k,
                1, grad_filter);
-}
-
-std::int8_t requantize(std::int32_t acc, float multiplier) {
-  const float scaled = static_cast<float>(acc) * multiplier;
-  const int q =
-      static_cast<int>(scaled >= 0 ? scaled + 0.5f : scaled - 0.5f);
-  return static_cast<std::int8_t>(std::max(-127, std::min(127, q)));
-}
-
-std::int8_t quantize_one(float value, float scale) {
-  const float scaled = value / scale;
-  const int q =
-      static_cast<int>(scaled >= 0 ? scaled + 0.5f : scaled - 0.5f);
-  return static_cast<std::int8_t>(std::max(-127, std::min(127, q)));
-}
-
-void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
-             std::int64_t n, const std::int8_t* a, const std::int8_t* b,
-             float multiplier, std::int8_t* c) {
-  if (m <= 0 || k <= 0 || n <= 0) return;
-  int8_gemm_calls_counter().add();
-  // MR-row blocks are the parallel chunks — shape-only, each owning a
-  // disjoint slice of c. Within a row the k reduction walks KC panels in
-  // ascending order like the float core; with exact int32 accumulation the
-  // association cannot change the bits, the fixed order keeps the structure
-  // (and the batched == N singles argument) aligned with the float path.
-  parallel_for(ctx, 0, m, MR, [&](std::int64_t i0, std::int64_t i1) {
-    thread_local std::vector<std::int32_t> acc;
-    acc.resize(static_cast<std::size_t>(n));
-    for (std::int64_t i = i0; i < i1; ++i) {
-      std::fill(acc.begin(), acc.begin() + n, 0);
-      const std::int8_t* arow = a + i * k;
-      for (std::int64_t pc = 0; pc < k; pc += KC) {
-        const std::int64_t kc = std::min(KC, k - pc);
-        for (std::int64_t kk = 0; kk < kc; ++kk) {
-          const std::int32_t av = arow[pc + kk];
-          const std::int8_t* brow = b + (pc + kk) * n;
-          for (std::int64_t j = 0; j < n; ++j) {
-            acc[static_cast<std::size_t>(j)] += av * brow[j];
-          }
-        }
-      }
-      // Fused requantization epilogue: the int32 row never leaves the
-      // kernel; c stores int8 codes in the output tensor's scale.
-      std::int8_t* crow = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) {
-        crow[j] = requantize(acc[static_cast<std::size_t>(j)], multiplier);
-      }
-    }
-  });
 }
 
 void conv2d_forward_s8(const KernelContext& ctx, const ConvShape& s,

@@ -14,6 +14,9 @@
 //  2. Accumulation order: within one output element the k-dimension is
 //     always reduced in ascending order, panel by panel, so small problems
 //     (k <= KC) reproduce the naive triple-loop bit-for-bit.
+//  3. The int8 kernels need neither argument for their integer part, which
+//     is exact; their requantizing float steps must not be contracted into
+//     FMAs (see the int8 section below).
 #pragma once
 
 #include <cstdint>
@@ -97,9 +100,24 @@ void conv2d_grad_filter(const KernelContext& ctx, const ConvShape& s,
 // accumulate int8×int8 products in int32 — exact integer arithmetic — and
 // fuse the requantization back to int8 codes into the store epilogue.
 // Because integer accumulation is exact, batched == N singles holds
-// bit-for-bit with no reduction-order caveat; the kernels still partition
-// work into the same shape-only disjoint-output chunks as the float path
-// and reduce k in ascending order.
+// bit-for-bit with no reduction-order caveat, and any tiling, chunking or
+// thread count gives the same codes.
+//
+// gemm_s8 runs a register tile of up to 4 rows × 64 columns of int32
+// accumulators over the whole k range, reading B (the weights) in place:
+// each weight byte is loaded and widened once per 4-row tile of the batch.
+// Where the compiler targets AVX-512 VNNI the tile feeds vpdpbusd four
+// k-consecutive bytes per lane, transposed in registers from four B rows
+// and biased to unsigned (b + 128); each row's accumulators start at
+// -128·Σk a, so they end at the exact Σ a·b. Elsewhere a portable tile
+// widens B to int32. Up to 72 rows the parallel chunks are column panels,
+// beyond that row blocks.
+//
+// The requantizing maps (the GEMM epilogue and the element-wise maps) are
+// separately rounded float steps: they live in kernels_s8.cpp, which is
+// compiled with -ffp-contract=off so that no a*b + c is fused into one
+// rounding, and every vector form reproduces its scalar form below
+// bit-for-bit, ties and clamping included.
 
 /// Saturating round-half-away-from-zero requantization of one int32
 /// accumulator: clamp(round(acc * multiplier), -127, 127), with
@@ -109,12 +127,35 @@ std::int8_t requantize(std::int32_t acc, float multiplier);
 /// Quantizes one float value to an int8 code: clamp(round(v / scale)).
 std::int8_t quantize_one(float value, float scale);
 
-/// c[m,n] = requantize(a[m,k] · b[k,n]). a/b/c are int8 codes; products
-/// accumulate in int32, k ascending, and the fused epilogue requantizes
-/// each finished output row.
+/// c[m,n] = requantize(a[m,k] · b[k,n]). a/b/c are int8 codes, row-major
+/// and dense; products accumulate exactly in int32.
 void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
              std::int64_t n, const std::int8_t* a, const std::int8_t* b,
              float multiplier, std::int8_t* c);
+
+/// The implementations behind gemm_s8 (and so conv2d_forward_s8). All three
+/// produce identical codes; only host time differs.
+enum class GemmS8Impl {
+  kNative,     ///< the build's tile: VNNI where targeted, else portable
+  kPortable,   ///< the portable vector-extension tile
+  kReference,  ///< reference::gemm_s8, the scalar row loop
+};
+
+/// True when this build's native tile is the AVX-512 VNNI one.
+bool gemm_s8_native_is_vnni();
+
+/// Runs the gemm_s8 calls made on the constructing thread with `impl` while
+/// alive: the seam the differential tests and bench_micro's twins use.
+class GemmS8Scope {
+ public:
+  explicit GemmS8Scope(GemmS8Impl impl);
+  ~GemmS8Scope();
+  GemmS8Scope(const GemmS8Scope&) = delete;
+  GemmS8Scope& operator=(const GemmS8Scope&) = delete;
+
+ private:
+  GemmS8Impl previous_;
+};
 
 /// out[n*oh*ow, k] = requantize(im2col(input) · filter): int8 analogue of
 /// conv2d_forward with identical im2col geometry (SAME padding fills the
@@ -122,6 +163,30 @@ void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
 void conv2d_forward_s8(const KernelContext& ctx, const ConvShape& s,
                        const std::int8_t* input, const std::int8_t* filter,
                        float multiplier, std::int8_t* out);
+
+// Element-wise maps of the int8 interpreter, vectorized. Each equals its
+// per-element scalar form exactly; chunking is shape-only.
+
+/// out[i] = quantize_one(in[i], scale)
+void quantize_s8(const KernelContext& ctx, const float* in, std::int64_t n,
+                 float scale, std::int8_t* out);
+
+/// out[i] = in[i] * scale
+void dequantize_s8(const KernelContext& ctx, const std::int8_t* in,
+                   std::int64_t n, float scale, float* out);
+
+/// out[i] = quantize_one(v * scale_in, scale_out), v = relu ? max(in[i], 0)
+/// : in[i]. `out` may equal `in`.
+void rescale_s8(const KernelContext& ctx, const std::int8_t* in,
+                std::int64_t n, float scale_in, float scale_out, bool relu,
+                std::int8_t* out);
+
+/// out[i] = quantize_one(a[i] * scale_a + b[i % bn] * scale_b, scale_out),
+/// the two products rounded separately. b repeats every bn elements (a bias
+/// row); throws std::invalid_argument when bn <= 0 and n > 0.
+void add_s8(const KernelContext& ctx, const std::int8_t* a, std::int64_t n,
+            float scale_a, const std::int8_t* b, std::int64_t bn,
+            float scale_b, float scale_out, std::int8_t* out);
 
 // --- Naive references ----------------------------------------------------
 // The pre-blocking scalar kernels, kept as the oracle for the equivalence
@@ -137,6 +202,11 @@ void conv2d_grad_input(const ConvShape& s, const float* filter,
                        const float* grad_output, float* grad_input);
 void conv2d_grad_filter(const ConvShape& s, const float* input,
                         const float* grad_output, float* grad_filter);
+/// The scalar int8 row loop: for each row of a, every row of b is widened
+/// and multiplied into an int32 accumulator row, then requantized.
+void gemm_s8(std::int64_t m, std::int64_t k, std::int64_t n,
+             const std::int8_t* a, const std::int8_t* b, float multiplier,
+             std::int8_t* c);
 
 }  // namespace reference
 

@@ -51,9 +51,17 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
                                  const std::string& input_name,
                                  const std::string& output_name) {
   FlatModel model;
-  std::vector<float> arena;
   const NodeId output_id = graph.find(output_name);
   const auto order = graph.topological_order({output_id});
+  std::size_t arena_size = 0;
+  for (const NodeId id : order) {
+    const Node& node = graph.node(id);
+    if (node.type == OpType::Const) {
+      arena_size += static_cast<std::size_t>(node.value->size());
+    }
+  }
+  std::vector<float> arena;
+  arena.reserve(arena_size);
 
   std::map<NodeId, std::int32_t> tensor_of;
   for (const NodeId id : order) {
@@ -171,9 +179,9 @@ crypto::Bytes FlatModel::serialize() const {
   u32(static_cast<std::uint32_t>(input_));
   u32(static_cast<std::uint32_t>(output_));
   if (quantized_) {
-    i64(static_cast<std::int64_t>(qweights_.size()));
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(qweights_.data());
-    crypto::append(out, crypto::BytesView(raw, qweights_.size()));
+    i64(static_cast<std::int64_t>(qweights_->size()));
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(qweights_->data());
+    crypto::append(out, crypto::BytesView(raw, qweights_->size()));
   } else {
     i64(static_cast<std::int64_t>(weights_->size()));
     const auto* raw = reinterpret_cast<const std::uint8_t*>(weights_->data());
@@ -286,6 +294,12 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     if (inferred > 1) {
       throw std::runtime_error("FlatModel: implausible reshape target");
     }
+    // The kernels divide by the stride and size windows from both.
+    if ((op.type == OpType::Conv2D || op.type == OpType::MaxPool2D ||
+         op.type == OpType::AvgPool2D) &&
+        (op.attrs.stride <= 0 || op.attrs.window <= 0)) {
+      throw std::runtime_error("FlatModel: non-positive stride or window");
+    }
     const std::uint32_t n_inputs = count(4);
     for (std::uint32_t j = 0; j < n_inputs; ++j) {
       op.inputs.push_back(tensor_index("op input"));
@@ -325,8 +339,10 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   const std::size_t weight_bytes =
       static_cast<std::size_t>(n_weights) * elem_size;
   if (model.quantized_) {
-    model.qweights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.qweights_.data(), data.data() + cursor, weight_bytes);
+    std::vector<std::int8_t> arena(static_cast<std::size_t>(n_weights));
+    std::memcpy(arena.data(), data.data() + cursor, weight_bytes);
+    model.qweights_ =
+        std::make_shared<const std::vector<std::int8_t>>(std::move(arena));
   } else {
     std::vector<float> arena(static_cast<std::size_t>(n_weights));
     std::memcpy(arena.data(), data.data() + cursor, weight_bytes);
@@ -348,7 +364,8 @@ FlatModel FlatModel::quantized() const {
   q.input_ = input_;
   q.output_ = output_;
   q.quantized_ = true;
-  q.qweights_.reserve(weights_->size());
+  std::vector<std::int8_t> arena;
+  arena.reserve(weights_->size());
   for (auto& desc : q.tensors_) {
     if (!desc.is_weight()) continue;
     const std::int64_t n = num_elements(desc.shape);
@@ -358,15 +375,17 @@ FlatModel FlatModel::quantized() const {
       max_abs = std::max(max_abs, std::abs(w[i]));
     }
     desc.quant_scale = max_abs > 0 ? max_abs / 127.0f : 1.0f;
-    desc.weight_offset = static_cast<std::int64_t>(q.qweights_.size());
+    desc.weight_offset = static_cast<std::int64_t>(arena.size());
     for (std::int64_t i = 0; i < n; ++i) {
       const float scaled = w[i] / desc.quant_scale;
       const int qv = static_cast<int>(scaled >= 0 ? scaled + 0.5f
                                                   : scaled - 0.5f);
-      q.qweights_.push_back(static_cast<std::int8_t>(
+      arena.push_back(static_cast<std::int8_t>(
           std::max(-127, std::min(127, qv))));
     }
   }
+  q.qweights_ =
+      std::make_shared<const std::vector<std::int8_t>>(std::move(arena));
   return q;
 }
 
@@ -774,8 +793,19 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
   // bit-for-bit with no reduction-order caveat.
   struct QTensor {
     Shape shape;
-    std::vector<std::int8_t> data;
     float scale = 1.0f;
+    std::vector<std::int8_t> own;        ///< the codes, unless aliased
+    const std::int8_t* codes = nullptr;  ///< own's, or a Reshape input's
+    std::int64_t size = 0;
+
+    std::int8_t* alloc(Shape s, float sc) {
+      shape = std::move(s);
+      scale = sc;
+      size = num_elements(shape);
+      own.resize(static_cast<std::size_t>(size));
+      codes = own.data();
+      return own.data();
+    }
   };
   const std::size_t n_tensors = model_.tensors().size();
   std::vector<Tensor> fvalues(n_tensors);
@@ -792,14 +822,8 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
     return model_.tensors()[static_cast<std::size_t>(idx)];
   };
   const auto quantize_into = [&](const Tensor& t, float scale, QTensor& out) {
-    out.shape = t.shape();
-    out.scale = scale;
-    out.data.resize(static_cast<std::size_t>(t.size()));
-    const float* src = t.data();
-    for (std::int64_t i = 0; i < t.size(); ++i) {
-      out.data[static_cast<std::size_t>(i)] =
-          kernels::quantize_one(src[i], scale);
-    }
+    kernels::quantize_s8(kernel_ctx_, t.data(), t.size(), scale,
+                         out.alloc(t.shape(), scale));
     conv_ops += static_cast<double>(t.size());
     requants_total += static_cast<double>(t.size());
   };
@@ -821,14 +845,12 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         throw std::logic_error("Lite: activation used before production");
       }
       const QTensor& q = qvalues[s];
-      std::vector<float> data(q.data.size());
-      for (std::size_t i = 0; i < q.data.size(); ++i) {
-        data[i] = static_cast<float>(q.data[i]) * q.scale;
-      }
-      fvalues[s] = Tensor(q.shape, std::move(data));
+      Tensor t(q.shape);
+      kernels::dequantize_s8(kernel_ctx_, q.codes, q.size, q.scale, t.data());
+      fvalues[s] = std::move(t);
       f_ready[s] = 1;
-      conv_ops += static_cast<double>(q.data.size());
-      requants_total += static_cast<double>(q.data.size());
+      conv_ops += static_cast<double>(q.size);
+      requants_total += static_cast<double>(q.size);
     }
     return fvalues[s];
   };
@@ -890,7 +912,8 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         } else {
           const auto s = static_cast<std::size_t>(idx);
           const std::uint64_t bytes =
-              q_ready[s] ? qvalues[s].data.size() : fvalues[s].byte_size();
+              q_ready[s] ? static_cast<std::uint64_t>(qvalues[s].size)
+                         : fvalues[s].byte_size();
           env_->access(activation_region_, 0,
                        std::min<std::uint64_t>(bytes, activation_bytes_),
                        false);
@@ -916,11 +939,8 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         const std::int64_t k = qa.shape[1];
         const std::int64_t n = desc_of(op.inputs[1]).shape[1];
         const float so = desc_of(op.output).act_scale();
-        qout.shape = {m, n};
-        qout.scale = so;
-        qout.data.resize(static_cast<std::size_t>(m * n));
-        kernels::gemm_s8(kernel_ctx_, m, k, n, qa.data.data(), w.data,
-                         qa.scale * w.scale / so, qout.data.data());
+        kernels::gemm_s8(kernel_ctx_, m, k, n, qa.codes, w.data,
+                         qa.scale * w.scale / so, qout.alloc({m, n}, so));
         const double macs = static_cast<double>(m) * k * n;
         op_ops = 2 * macs + static_cast<double>(m) * n;
         macs_total += macs;
@@ -941,11 +961,9 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
             qa.shape[0], qa.shape[1], qa.shape[2], qa.shape[3], fs[0], fs[1],
             fs[3], op.attrs.stride);
         const float so = desc_of(op.output).act_scale();
-        qout.shape = {cs.n, cs.oh, cs.ow, cs.k};
-        qout.scale = so;
-        qout.data.resize(static_cast<std::size_t>(cs.out_pixels() * cs.k));
-        kernels::conv2d_forward_s8(kernel_ctx_, cs, qa.data.data(), w.data,
-                                   qa.scale * w.scale / so, qout.data.data());
+        kernels::conv2d_forward_s8(kernel_ctx_, cs, qa.codes, w.data,
+                                   qa.scale * w.scale / so,
+                                   qout.alloc({cs.n, cs.oh, cs.ow, cs.k}, so));
         const double macs =
             static_cast<double>(cs.out_pixels()) * cs.patch_size() * cs.k;
         const double out_elems =
@@ -958,11 +976,8 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
       }
       case OpType::Add: {
         const QTensor& qa = as_q(in0());
-        const float so = desc_of(op.output).act_scale();
-        qout.shape = qa.shape;
-        qout.scale = so;
-        qout.data.resize(qa.data.size());
-        const float sa = qa.scale;
+        std::int8_t* po =
+            qout.alloc(qa.shape, desc_of(op.output).act_scale());
         const LiteTensorDesc& bd = desc_of(op.inputs.at(1));
         const std::int8_t* pb;
         float sb;
@@ -974,68 +989,47 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
           bn = num_elements(bd.shape);
         } else {
           const QTensor& qb = as_q(op.inputs[1]);
-          pb = qb.data.data();
+          pb = qb.codes;
           sb = qb.scale;
-          bn = static_cast<std::int64_t>(qb.data.size());
+          bn = qb.size;
         }
-        const std::int8_t* pa = qa.data.data();
-        std::int8_t* po = qout.data.data();
-        const auto total = static_cast<std::int64_t>(qa.data.size());
-        kernels::parallel_for(
-            kernel_ctx_, 0, total, 4096,
-            [&](std::int64_t i0, std::int64_t i1) {
-              for (std::int64_t i = i0; i < i1; ++i) {
-                po[i] = kernels::quantize_one(
-                    static_cast<float>(pa[i]) * sa +
-                        static_cast<float>(pb[i % bn]) * sb,
-                    so);
-              }
-            });
-        op_ops = 2.0 * static_cast<double>(total);
-        requants_total += static_cast<double>(total);
+        kernels::add_s8(kernel_ctx_, qa.codes, qa.size, qa.scale, pb, bn, sb,
+                        qout.scale, po);
+        op_ops = 2.0 * static_cast<double>(qa.size);
+        requants_total += static_cast<double>(qa.size);
         int8_out = true;
         break;
       }
       case OpType::Relu: {
         const QTensor& qa = as_q(in0());
         const float so = desc_of(op.output).act_scale();
-        qout.shape = qa.shape;
-        qout.scale = so;
-        qout.data.resize(qa.data.size());
-        const float sa = qa.scale;
-        const std::int8_t* pa = qa.data.data();
-        std::int8_t* po = qout.data.data();
-        const auto total = static_cast<std::int64_t>(qa.data.size());
-        kernels::parallel_for(
-            kernel_ctx_, 0, total, 4096,
-            [&](std::int64_t i0, std::int64_t i1) {
-              for (std::int64_t i = i0; i < i1; ++i) {
-                const std::int8_t v = pa[i] > 0 ? pa[i] : std::int8_t{0};
-                po[i] = kernels::quantize_one(static_cast<float>(v) * sa, so);
-              }
-            });
-        op_ops = static_cast<double>(total);
-        requants_total += static_cast<double>(total);
+        kernels::rescale_s8(kernel_ctx_, qa.codes, qa.size, qa.scale, so,
+                            /*relu=*/true, qout.alloc(qa.shape, so));
+        op_ops = static_cast<double>(qa.size);
+        requants_total += static_cast<double>(qa.size);
         int8_out = true;
         break;
       }
       case OpType::MaxPool2D: {
         // Same geometry as ops::pool2d; max commutes with the positive
-        // per-tensor scale, so the window max runs on raw codes.
+        // per-tensor scale, so the window max runs on raw codes and the
+        // maxima are rescaled in place afterwards.
         const QTensor& qa = as_q(in0());
         const std::int64_t n = qa.shape[0], h = qa.shape[1], w = qa.shape[2],
                            c = qa.shape[3];
         const std::int64_t window = op.attrs.window,
                            stride = op.attrs.stride;
+        if (window < 1 || stride < 1) {
+          throw std::invalid_argument("pool2d: bad window/stride");
+        }
         const std::int64_t oh = (h - window) / stride + 1;
         const std::int64_t ow = (w - window) / stride + 1;
+        if (oh < 1 || ow < 1) {
+          throw std::invalid_argument("pool2d: window larger than input");
+        }
         const float so = desc_of(op.output).act_scale();
-        qout.shape = {n, oh, ow, c};
-        qout.scale = so;
-        qout.data.resize(static_cast<std::size_t>(n * oh * ow * c));
-        const float sa = qa.scale;
-        const std::int8_t* pi = qa.data.data();
-        std::int8_t* po = qout.data.data();
+        const std::int8_t* pi = qa.codes;
+        std::int8_t* po = qout.alloc({n, oh, ow, c}, so);
         kernels::parallel_for(
             kernel_ctx_, 0, n * oh, 1,
             [&](std::int64_t r0, std::int64_t r1) {
@@ -1043,32 +1037,32 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
                 const std::int64_t b = row / oh;
                 const std::int64_t oy = row % oh;
                 for (std::int64_t ox = 0; ox < ow; ++ox) {
-                  for (std::int64_t ci = 0; ci < c; ++ci) {
-                    std::int8_t acc = -127;
-                    for (std::int64_t fy = 0; fy < window; ++fy) {
-                      for (std::int64_t fx = 0; fx < window; ++fx) {
-                        const std::int64_t iy = oy * stride + fy;
-                        const std::int64_t ix = ox * stride + fx;
-                        const std::int8_t v =
-                            pi[((b * h + iy) * w + ix) * c + ci];
-                        if (v > acc) acc = v;
+                  std::int8_t* dst = po + ((b * oh + oy) * ow + ox) * c;
+                  std::fill(dst, dst + c, std::int8_t{-127});
+                  for (std::int64_t fy = 0; fy < window; ++fy) {
+                    for (std::int64_t fx = 0; fx < window; ++fx) {
+                      const std::int8_t* src =
+                          pi + ((b * h + oy * stride + fy) * w +
+                                ox * stride + fx) * c;
+                      for (std::int64_t ci = 0; ci < c; ++ci) {
+                        dst[ci] = std::max(dst[ci], src[ci]);
                       }
                     }
-                    po[((b * oh + oy) * ow + ox) * c + ci] =
-                        kernels::quantize_one(static_cast<float>(acc) * sa,
-                                              so);
                   }
                 }
               }
             });
+        kernels::rescale_s8(kernel_ctx_, po, qout.size, qa.scale, so,
+                            /*relu=*/false, po);
         op_ops = static_cast<double>(n) * oh * ow * c * window * window;
         requants_total += static_cast<double>(n) * oh * ow * c;
         int8_out = true;
         break;
       }
       case OpType::Reshape: {
+        // A reshape never changes a value: the output aliases the input's
+        // codes and keeps its scale.
         const QTensor& qa = as_q(in0());
-        const auto in_size = static_cast<std::int64_t>(qa.data.size());
         Shape target = op.attrs.target_shape;
         std::int64_t known = 1;
         int infer = -1;
@@ -1080,13 +1074,14 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
           }
         }
         if (infer >= 0) {
-          target[static_cast<std::size_t>(infer)] = in_size / known;
-        } else if (batch > 1 && known * batch == in_size && !target.empty()) {
+          target[static_cast<std::size_t>(infer)] = qa.size / known;
+        } else if (batch > 1 && known * batch == qa.size && !target.empty()) {
           target[0] *= batch;
         }
         qout.shape = std::move(target);
-        qout.scale = qa.scale;  // a reshape never changes any value
-        qout.data = qa.data;
+        qout.scale = qa.scale;
+        qout.codes = qa.codes;
+        qout.size = qa.size;
         int8_out = true;
         break;
       }
@@ -1112,7 +1107,8 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
     if (!int8_out) last_flops_ += r.flops;
     if (env_ != nullptr) {
       const std::uint64_t out_bytes =
-          int8_out ? qout.data.size() : r.output.byte_size();
+          int8_out ? static_cast<std::uint64_t>(qout.size)
+                   : r.output.byte_size();
       if (out_bytes * 2 > activation_bytes_) {
         env_->release(activation_region_);
         activation_bytes_ = out_bytes * 2;

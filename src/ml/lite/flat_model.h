@@ -102,7 +102,7 @@ class FlatModel {
   /// float interpreter's weight operands (no element is copied).
   [[nodiscard]] Tensor weight_view(std::int32_t idx) const;
   [[nodiscard]] const std::vector<std::int8_t>& qweights() const {
-    return qweights_;
+    return *qweights_;
   }
   [[nodiscard]] std::int32_t input_tensor() const { return input_; }
   [[nodiscard]] std::int32_t output_tensor() const { return output_; }
@@ -110,16 +110,18 @@ class FlatModel {
   /// Total weight bytes — the dominant part of the model file size
   /// (4 bytes/element float, 1 byte/element quantized).
   [[nodiscard]] std::uint64_t weight_bytes() const {
-    return quantized_ ? qweights_.size() : weights_->size() * sizeof(float);
+    return quantized_ ? qweights_->size() : weights_->size() * sizeof(float);
   }
 
  private:
   std::vector<LiteTensorDesc> tensors_;
   std::vector<LiteOp> ops_;
-  /// The float arena. Immutable once built, so copies of the model and the
-  /// weight views handed to interpreters share it.
+  /// The float and int8 arenas. Immutable once built, so copies of the
+  /// model (one per serving node and inference service) and the weight
+  /// views handed to interpreters share them.
   SharedFloats weights_ = std::make_shared<const std::vector<float>>();
-  std::vector<std::int8_t> qweights_;
+  std::shared_ptr<const std::vector<std::int8_t>> qweights_ =
+      std::make_shared<const std::vector<std::int8_t>>();
   bool quantized_ = false;
   bool calibrated_ = false;
   std::int32_t input_ = -1;

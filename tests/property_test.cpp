@@ -385,20 +385,25 @@ TEST(SerializeProperty, TruncatedLiteModelNeverCrashes) {
   }
 }
 
-// Byte positions of the fields of a serialized float FlatModel (format
-// version 2) that name tensors or weight windows.
+// Byte positions of the fields of a serialized FlatModel (format version 2,
+// or 3 for calibrated models) that name tensors, weight windows or window
+// geometry.
 struct LiteLayout {
   std::uint32_t n_tensors = 0;
   std::vector<std::size_t> weight_offset;  ///< per weight tensor
   std::vector<std::size_t> first_dim;      ///< per weight tensor
   std::vector<std::size_t> op_index;       ///< every op input and output
   std::vector<std::size_t> target_dim;     ///< every reshape target dim
+  std::vector<std::size_t> stride;  ///< every Conv2D / pooling op's stride
+  std::vector<std::size_t> window;  ///< ... and its window
+  std::size_t max_pool_stride = 0;  ///< the first MaxPool2D's stride, or 0
   std::size_t model_input = 0, model_output = 0, n_weights = 0;
   std::int64_t arena = 0;                  ///< weight elements
 };
 
 LiteLayout lite_layout(const Bytes& blob) {
   LiteLayout l;
+  const bool calibrated = crypto::load_be32(blob.data() + 4) == 3;
   std::size_t pos = 9;  // magic, version, quantized flag
   l.n_tensors = crypto::load_be32(blob.data() + pos);
   pos += 4;
@@ -411,11 +416,20 @@ LiteLayout lite_layout(const Bytes& blob) {
       l.weight_offset.push_back(pos);
       l.first_dim.push_back(dims);
     }
-    pos += 8 + 4;  // offset, quant scale
+    pos += 8 + 4 + (calibrated ? 8 : 0);  // offset, scale, act range
   }
   const std::uint32_t n_ops = crypto::load_be32(blob.data() + pos);
   pos += 4;
   for (std::uint32_t i = 0; i < n_ops; ++i) {
+    const auto type = static_cast<ml::OpType>(blob[pos]);
+    if (type == ml::OpType::Conv2D || type == ml::OpType::MaxPool2D ||
+        type == ml::OpType::AvgPool2D) {
+      l.stride.push_back(pos + 1);
+      l.window.push_back(pos + 9);
+      if (type == ml::OpType::MaxPool2D && l.max_pool_stride == 0) {
+        l.max_pool_stride = pos + 1;
+      }
+    }
     pos += 1 + 8 + 8 + 4;  // type, stride, window, scalar
     const std::uint32_t target_rank = crypto::load_be32(blob.data() + pos);
     pos += 4;
@@ -438,10 +452,10 @@ LiteLayout lite_layout(const Bytes& blob) {
 }
 
 // Each mutation would make the interpreter read outside the weight arena,
-// index past the tensor table, overflow an element count or ask for an
-// absurd allocation; deserialize must reject every one with a typed error
-// before any tensor is built. The MLP has only dense layers; the convnet
-// adds conv filters and a reshape.
+// index past the tensor table, overflow an element count, divide by a zero
+// stride or ask for an absurd allocation; deserialize must reject every one
+// with a typed error before any tensor is built. The MLP has only dense
+// layers; the convnet adds conv filters, pooling and a reshape.
 class CorruptLiteModel : public ::testing::TestWithParam<bool> {};
 
 TEST_P(CorruptLiteModel, IsRejected) {
@@ -454,6 +468,7 @@ TEST_P(CorruptLiteModel, IsRejected) {
   ASSERT_FALSE(layout.weight_offset.empty());
   ASSERT_FALSE(layout.op_index.empty());
   ASSERT_EQ(layout.target_dim.empty(), !GetParam());
+  ASSERT_EQ(layout.stride.empty(), !GetParam());
   ASSERT_EQ(layout.n_weights + 8 + layout.arena * 4, blob.size());
   {
     const auto model = ml::lite::FlatModel::deserialize(blob);
@@ -501,6 +516,35 @@ TEST_P(CorruptLiteModel, IsRejected) {
     crypto::store_be64(b.data() + layout.target_dim[0], ~std::uint64_t{0});
     crypto::store_be64(b.data() + layout.target_dim[1], ~std::uint64_t{0});
     corrupt.emplace_back("two inferred reshape dims", std::move(b));
+  }
+  for (std::size_t i = 0; i < layout.stride.size(); ++i) {
+    with_i64("zero stride", layout.stride[i], 0);
+    with_i64("negative stride", layout.stride[i], -1);
+    with_i64("zero window", layout.window[i], 0);
+    with_i64("negative window", layout.window[i], INT64_MIN);
+  }
+  if (GetParam()) {
+    // The int8 path's MaxPool2D divides by the file's stride: a calibrated
+    // convnet with a zero pooling stride must be refused at load.
+    const auto float_model =
+        ml::lite::FlatModel::from_frozen(ml::freeze(g, s), "input", "probs");
+    const ml::Dataset d = ml::synthetic_mnist(4, 8);
+    std::vector<ml::Tensor> samples;
+    for (std::int64_t i = 0; i < 4; ++i) samples.push_back(d.sample(i));
+    const Bytes calibrated = float_model.quantized(samples).serialize();
+    const LiteLayout cl = lite_layout(calibrated);
+    ASSERT_NE(cl.max_pool_stride, 0u);
+    {
+      const auto model = ml::lite::FlatModel::deserialize(calibrated);
+      ml::lite::LiteInterpreter interp(model, nullptr,
+                                       ml::kernels::KernelContext{},
+                                       /*weight_streaming=*/false,
+                                       /*int8_compute=*/true);
+      EXPECT_EQ(interp.invoke(d.sample(0)).size(), 10);
+    }
+    Bytes b = calibrated;
+    crypto::store_be64(b.data() + cl.max_pool_stride, 0);
+    corrupt.emplace_back("calibrated max-pool stride 0", std::move(b));
   }
   with_u32("huge tensor count", 9, 0xFFFFFFFFu);
   with_i64("negative arena size", layout.n_weights, -1);
