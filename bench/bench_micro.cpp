@@ -17,6 +17,7 @@
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
 #include "ml/kernels.h"
+#include "ml/kernels_s8_internal.h"
 #include "ml/lite/flat_model.h"
 #include "ml/models.h"
 #include "ml/ops.h"
@@ -308,10 +309,11 @@ void BM_GemmS8Portable(benchmark::State& state) {
 void BM_GemmS8Reference(benchmark::State& state) {
   gemm_s8_bench(state, ml::kernels::GemmS8Impl::kReference);
 }
-BENCHMARK(BM_GemmS8)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GemmS8Portable)->Arg(1)->Arg(4)->Arg(8)
+BENCHMARK(BM_GemmS8)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_GemmS8Reference)->Arg(1)->Arg(4)->Arg(8)
+BENCHMARK(BM_GemmS8Portable)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmS8Reference)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 // int8 Lite invoke of the serve_failover model (the 8 MB sized_classifier,

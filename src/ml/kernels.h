@@ -110,8 +110,9 @@ void conv2d_grad_filter(const KernelContext& ctx, const ConvShape& s,
 // k-consecutive bytes per lane, transposed in registers from four B rows
 // and biased to unsigned (b + 128); each row's accumulators start at
 // -128·Σk a, so they end at the exact Σ a·b. Elsewhere a portable tile
-// widens B to int32. Up to 72 rows the parallel chunks are column panels,
-// beyond that row blocks.
+// widens B to int32; it is slower than the scalar row loop for a single
+// row, so there m = 1 runs the row loop. Up to 72 rows the parallel chunks
+// are column panels, beyond that row blocks.
 //
 // The requantizing maps (the GEMM epilogue and the element-wise maps) are
 // separately rounded float steps: they live in kernels_s8.cpp, which is
@@ -132,30 +133,6 @@ std::int8_t quantize_one(float value, float scale);
 void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
              std::int64_t n, const std::int8_t* a, const std::int8_t* b,
              float multiplier, std::int8_t* c);
-
-/// The implementations behind gemm_s8 (and so conv2d_forward_s8). All three
-/// produce identical codes; only host time differs.
-enum class GemmS8Impl {
-  kNative,     ///< the build's tile: VNNI where targeted, else portable
-  kPortable,   ///< the portable vector-extension tile
-  kReference,  ///< reference::gemm_s8, the scalar row loop
-};
-
-/// True when this build's native tile is the AVX-512 VNNI one.
-bool gemm_s8_native_is_vnni();
-
-/// Runs the gemm_s8 calls made on the constructing thread with `impl` while
-/// alive: the seam the differential tests and bench_micro's twins use.
-class GemmS8Scope {
- public:
-  explicit GemmS8Scope(GemmS8Impl impl);
-  ~GemmS8Scope();
-  GemmS8Scope(const GemmS8Scope&) = delete;
-  GemmS8Scope& operator=(const GemmS8Scope&) = delete;
-
- private:
-  GemmS8Impl previous_;
-};
 
 /// out[n*oh*ow, k] = requantize(im2col(input) · filter): int8 analogue of
 /// conv2d_forward with identical im2col geometry (SAME padding fills the

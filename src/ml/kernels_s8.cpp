@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ml/kernels.h"
+#include "ml/kernels_s8_internal.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 
@@ -379,6 +380,12 @@ void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
   int8_gemm_calls_counter().add();
   switch (scoped_impl) {
     case GemmS8Impl::kNative:
+      // The portable tile loses to the row loop on a single row; the VNNI
+      // tile does not.
+      if (m == 1 && !gemm_s8_native_is_vnni()) {
+        reference::gemm_s8(m, k, n, a, b, multiplier, c);
+        return;
+      }
       gemm_s8_tiled(ctx, m, k, n, a, b, multiplier, c, kNativeTiles);
       return;
     case GemmS8Impl::kPortable:

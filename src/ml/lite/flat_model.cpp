@@ -309,6 +309,23 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   }
   model.input_ = tensor_index("model input");
   model.output_ = tensor_index("model output");
+  // Every op writes a tensor of its own: not the model input, not a weight
+  // and not one an earlier op wrote (an op that reads its own output reads
+  // it before production and fails at invoke). The interpreters keep one
+  // value per tensor, and the int8 one lets a Reshape output share its
+  // input's codes.
+  std::vector<std::uint8_t> written(n_tensors, 0);
+  written[static_cast<std::size_t>(model.input_)] = 1;
+  for (std::uint32_t i = 0; i < n_tensors; ++i) {
+    if (model.tensors_[i].is_weight()) written[i] = 1;
+  }
+  for (const LiteOp& op : model.ops_) {
+    const auto out = static_cast<std::size_t>(op.output);
+    if (written[out] != 0) {
+      throw std::runtime_error("FlatModel: op output overwrites a tensor");
+    }
+    written[out] = 1;
+  }
   const std::int64_t n_weights = i64();
   const std::size_t elem_size = model.quantized_ ? 1 : sizeof(float);
   if (n_weights < 0 ||
@@ -794,18 +811,24 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
   struct QTensor {
     Shape shape;
     float scale = 1.0f;
-    std::vector<std::int8_t> own;        ///< the codes, unless aliased
-    const std::int8_t* codes = nullptr;  ///< own's, or a Reshape input's
-    std::int64_t size = 0;
+    /// The codes; a Reshape output shares its input's store.
+    std::shared_ptr<std::vector<std::int8_t>> store;
+    const std::int8_t* codes = nullptr;  ///< store->data()
+    std::int64_t size = 0;               ///< num_elements(shape)
 
     std::int8_t* alloc(Shape s, float sc) {
       shape = std::move(s);
       scale = sc;
       size = num_elements(shape);
-      own.resize(static_cast<std::size_t>(size));
-      codes = own.data();
-      return own.data();
+      store = std::make_shared<std::vector<std::int8_t>>(
+          static_cast<std::size_t>(size));
+      codes = store->data();
+      return store->data();
     }
+  };
+  // The int8 kernels trust the operand shapes; the float ops check theirs.
+  const auto require = [](bool cond, const char* msg) {
+    if (!cond) throw std::invalid_argument(msg);
   };
   const std::size_t n_tensors = model_.tensors().size();
   std::vector<Tensor> fvalues(n_tensors);
@@ -935,9 +958,13 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         }
         const QTensor& qa = as_q(in0());
         const WView w = weight_view(op.inputs[1]);
+        const Shape& ws = desc_of(op.inputs[1]).shape;
+        require(qa.shape.size() == 2 && ws.size() == 2,
+                "matmul: rank-2 tensors required");
         const std::int64_t m = qa.shape[0];
         const std::int64_t k = qa.shape[1];
-        const std::int64_t n = desc_of(op.inputs[1]).shape[1];
+        const std::int64_t n = ws[1];
+        require(ws[0] == k, "matmul: inner dimensions do not match");
         const float so = desc_of(op.output).act_scale();
         kernels::gemm_s8(kernel_ctx_, m, k, n, qa.codes, w.data,
                          qa.scale * w.scale / so, qout.alloc({m, n}, so));
@@ -957,6 +984,9 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         const QTensor& qa = as_q(in0());
         const WView w = weight_view(op.inputs[1]);
         const Shape& fs = desc_of(op.inputs[1]).shape;  // HWIO
+        require(qa.shape.size() == 4 && fs.size() == 4,
+                "conv2d: NHWC input and HWIO filter required");
+        require(fs[2] == qa.shape[3], "conv2d: filter channel mismatch");
         const kernels::ConvShape cs = kernels::conv_shape(
             qa.shape[0], qa.shape[1], qa.shape[2], qa.shape[3], fs[0], fs[1],
             fs[3], op.attrs.stride);
@@ -1015,18 +1045,16 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         // per-tensor scale, so the window max runs on raw codes and the
         // maxima are rescaled in place afterwards.
         const QTensor& qa = as_q(in0());
+        require(qa.shape.size() == 4, "pool2d: NHWC input required");
         const std::int64_t n = qa.shape[0], h = qa.shape[1], w = qa.shape[2],
                            c = qa.shape[3];
         const std::int64_t window = op.attrs.window,
                            stride = op.attrs.stride;
-        if (window < 1 || stride < 1) {
-          throw std::invalid_argument("pool2d: bad window/stride");
-        }
+        require(window >= 1 && stride >= 1, "pool2d: bad window/stride");
+        require(h >= window && w >= window,
+                "pool2d: window larger than input");
         const std::int64_t oh = (h - window) / stride + 1;
         const std::int64_t ow = (w - window) / stride + 1;
-        if (oh < 1 || ow < 1) {
-          throw std::invalid_argument("pool2d: window larger than input");
-        }
         const float so = desc_of(op.output).act_scale();
         const std::int8_t* pi = qa.codes;
         std::int8_t* po = qout.alloc({n, oh, ow, c}, so);
@@ -1078,8 +1106,11 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
         } else if (batch > 1 && known * batch == qa.size && !target.empty()) {
           target[0] *= batch;
         }
+        require(num_elements(target) == qa.size,
+                "reshape: element count mismatch");
         qout.shape = std::move(target);
         qout.scale = qa.scale;
+        qout.store = qa.store;
         qout.codes = qa.codes;
         qout.size = qa.size;
         int8_out = true;

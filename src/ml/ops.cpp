@@ -181,9 +181,11 @@ OpResult pool2d(const Tensor& input, std::int64_t window, std::int64_t stride,
   require(window >= 1 && stride >= 1, "pool2d: bad window/stride");
   const std::int64_t n = input.dim(0), h = input.dim(1), w = input.dim(2),
                      c = input.dim(3);
+  // Checked on the extents, not on oh/ow: (h - window) / stride truncates
+  // toward zero, so a window one short of a stride past the edge gives oh 1.
+  require(h >= window && w >= window, "pool2d: window larger than input");
   const std::int64_t oh = (h - window) / stride + 1;
   const std::int64_t ow = (w - window) / stride + 1;
-  require(oh >= 1 && ow >= 1, "pool2d: window larger than input");
   Tensor out({n, oh, ow, c});
   const float* pi = input.data();
   float* po = out.data();

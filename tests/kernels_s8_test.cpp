@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "ml/kernels.h"
+#include "ml/kernels_s8_internal.h"
 #include "runtime/thread_pool.h"
 
 namespace stf::ml {
@@ -27,13 +28,11 @@ std::vector<std::int8_t> random_codes(std::mt19937& gen, std::int64_t n) {
   return v;
 }
 
-// The tiled implementations under test: the native tile and, when that is
-// the VNNI one, the portable twin as well.
+// The implementations under test: the native choice and the portable tile
+// pinned at every shape (without VNNI the native choice runs the row loop at
+// m = 1, so only the pinned twin covers the portable tile there).
 std::vector<GemmS8Impl> tiled_impls() {
-  if (kernels::gemm_s8_native_is_vnni()) {
-    return {GemmS8Impl::kNative, GemmS8Impl::kPortable};
-  }
-  return {GemmS8Impl::kNative};
+  return {GemmS8Impl::kNative, GemmS8Impl::kPortable};
 }
 
 const char* impl_name(GemmS8Impl impl) {

@@ -245,6 +245,14 @@ TEST(OpsTest, Pooling) {
   EXPECT_FLOAT_EQ(g.output.at(0), 2.5f);
 }
 
+TEST(OpsTest, PoolingRejectsWindowPastTheEdge) {
+  // (2 - 3) / 2 + 1 truncates to one output row; the window would still
+  // read a row and a column past the input.
+  const Tensor input({1, 2, 2, 1}, {1, 2, 3, 4});
+  EXPECT_THROW((void)ops::max_pool2d(input, 3, 2), std::invalid_argument);
+  EXPECT_THROW((void)ops::avg_pool2d(input, 3, 2), std::invalid_argument);
+}
+
 TEST(OpsTest, ArgMaxAndScale) {
   const Tensor x({2, 3}, {1, 5, 2, 9, 0, 3});
   const auto am = ops::argmax(x);

@@ -393,10 +393,14 @@ struct LiteLayout {
   std::vector<std::size_t> weight_offset;  ///< per weight tensor
   std::vector<std::size_t> first_dim;      ///< per weight tensor
   std::vector<std::size_t> op_index;       ///< every op input and output
+  std::vector<std::size_t> op_output;       ///< per op
+  std::vector<std::uint32_t> weight_index;  ///< per weight tensor
+  std::vector<std::size_t> last_target;     ///< the last reshape's target dims
   std::vector<std::size_t> target_dim;     ///< every reshape target dim
   std::vector<std::size_t> stride;  ///< every Conv2D / pooling op's stride
   std::vector<std::size_t> window;  ///< ... and its window
   std::size_t max_pool_stride = 0;  ///< the first MaxPool2D's stride, or 0
+  std::size_t avg_pool_stride = 0;  ///< the first AvgPool2D's stride, or 0
   std::size_t model_input = 0, model_output = 0, n_weights = 0;
   std::int64_t arena = 0;                  ///< weight elements
 };
@@ -415,6 +419,7 @@ LiteLayout lite_layout(const Bytes& blob) {
         rank > 0) {
       l.weight_offset.push_back(pos);
       l.first_dim.push_back(dims);
+      l.weight_index.push_back(i);
     }
     pos += 8 + 4 + (calibrated ? 8 : 0);  // offset, scale, act range
   }
@@ -429,12 +434,17 @@ LiteLayout lite_layout(const Bytes& blob) {
       if (type == ml::OpType::MaxPool2D && l.max_pool_stride == 0) {
         l.max_pool_stride = pos + 1;
       }
+      if (type == ml::OpType::AvgPool2D && l.avg_pool_stride == 0) {
+        l.avg_pool_stride = pos + 1;
+      }
     }
     pos += 1 + 8 + 8 + 4;  // type, stride, window, scalar
     const std::uint32_t target_rank = crypto::load_be32(blob.data() + pos);
     pos += 4;
+    if (type == ml::OpType::Reshape) l.last_target.clear();
     for (std::uint32_t j = 0; j < target_rank; ++j) {
       l.target_dim.push_back(pos);
+      if (type == ml::OpType::Reshape) l.last_target.push_back(pos);
       pos += 8;
     }
     const std::uint32_t n_inputs = crypto::load_be32(blob.data() + pos);
@@ -443,6 +453,7 @@ LiteLayout lite_layout(const Bytes& blob) {
       l.op_index.push_back(pos);
       pos += 4;
     }
+    l.op_output.push_back(pos - 4);
   }
   l.model_input = pos;
   l.model_output = pos + 4;
@@ -453,9 +464,10 @@ LiteLayout lite_layout(const Bytes& blob) {
 
 // Each mutation would make the interpreter read outside the weight arena,
 // index past the tensor table, overflow an element count, divide by a zero
-// stride or ask for an absurd allocation; deserialize must reject every one
-// with a typed error before any tensor is built. The MLP has only dense
-// layers; the convnet adds conv filters, pooling and a reshape.
+// stride, overwrite a value another tensor still shares or ask for an
+// absurd allocation; deserialize must reject every one with a typed error
+// before any tensor is built. The MLP has only dense layers; the convnet
+// adds conv filters, pooling and reshapes.
 class CorruptLiteModel : public ::testing::TestWithParam<bool> {};
 
 TEST_P(CorruptLiteModel, IsRejected) {
@@ -495,6 +507,17 @@ TEST_P(CorruptLiteModel, IsRejected) {
     with_u32("op index = 2^32-1", pos, 0xFFFFFFFFu);
   }
   with_u32("model input index", layout.model_input, layout.n_tensors);
+  const auto index_at = [&](std::size_t pos) {
+    return crypto::load_be32(blob.data() + pos);
+  };
+  for (std::size_t i = 0; i < layout.op_output.size(); ++i) {
+    const std::size_t out = layout.op_output[i];
+    with_u32("op writes the model input", out, index_at(layout.model_input));
+    with_u32("op writes a weight", out, layout.weight_index.back());
+    if (i > 0) {
+      with_u32("tensor written twice", out, index_at(layout.op_output[0]));
+    }
+  }
   with_u32("model output index", layout.model_output, 0xFFFFFFFFu);
   for (std::size_t i = 0; i < layout.weight_offset.size(); ++i) {
     const std::size_t off = layout.weight_offset[i];
@@ -545,6 +568,66 @@ TEST_P(CorruptLiteModel, IsRejected) {
     Bytes b = calibrated;
     crypto::store_be64(b.data() + cl.max_pool_stride, 0);
     corrupt.emplace_back("calibrated max-pool stride 0", std::move(b));
+
+    // Shapes that are well-formed on disk but do not fit the activations
+    // they meet must fail at invoke, in the int8 interpreter as in the
+    // float one, before any kernel sizes a buffer or a window from them:
+    // reshape targets whose element count differs from the input's, and a
+    // 29-wide max-pooling window over 28 columns, where (28 - 29) / 2 + 1
+    // truncates to one output column (the later average pool is made 1×1,
+    // so that only the max pool can refuse the file).
+    ASSERT_EQ(cl.last_target.size(), 2u);
+    std::vector<std::pair<std::string, Bytes>> misfits;
+    const std::vector<std::pair<std::int64_t, std::int64_t>> targets = {
+        {1, 392}, {2, 784}, {-1, 785}, {-1, 783}};
+    for (const auto& [d0, d1] : targets) {
+      Bytes r = calibrated;
+      crypto::store_be64(r.data() + cl.last_target[0],
+                         static_cast<std::uint64_t>(d0));
+      crypto::store_be64(r.data() + cl.last_target[1],
+                         static_cast<std::uint64_t>(d1));
+      misfits.emplace_back("reshape: element count mismatch", std::move(r));
+    }
+    Bytes wide = calibrated;
+    ASSERT_NE(cl.avg_pool_stride, 0u);
+    crypto::store_be64(wide.data() + cl.max_pool_stride + 8, 29);  // window
+    crypto::store_be64(wide.data() + cl.avg_pool_stride, 1);
+    crypto::store_be64(wide.data() + cl.avg_pool_stride + 8, 1);
+    misfits.emplace_back("pool2d: window larger than input", std::move(wide));
+    // Weights that no longer fit their consumers: the dense layer's 784 input
+    // rows halved, and the second filter's 8 input channels halved. Both
+    // windows shrink, so they still pass the arena checks at load.
+    for (const std::size_t dims : cl.first_dim) {
+      const auto dim = [&](int i) {
+        return static_cast<std::int64_t>(
+            crypto::load_be64(calibrated.data() + dims + 8 * i));
+      };
+      if (dim(0) == 784) {
+        Bytes r = calibrated;
+        crypto::store_be64(r.data() + dims, 392);
+        misfits.emplace_back("matmul: inner dimensions do not match",
+                             std::move(r));
+      } else if (dim(0) == 3 && dim(2) == 8) {
+        Bytes r = calibrated;
+        crypto::store_be64(r.data() + dims + 16, 4);
+        misfits.emplace_back("conv2d: filter channel mismatch", std::move(r));
+      }
+    }
+    ASSERT_EQ(misfits.size(), targets.size() + 3);
+    for (const auto& [message, bytes] : misfits) {
+      const auto model = ml::lite::FlatModel::deserialize(bytes);
+      for (const bool int8 : {true, false}) {
+        ml::lite::LiteInterpreter interp(model, nullptr,
+                                         ml::kernels::KernelContext{},
+                                         /*weight_streaming=*/false, int8);
+        try {
+          (void)interp.invoke(d.sample(0));
+          ADD_FAILURE() << message << " not raised, int8=" << int8;
+        } catch (const std::invalid_argument& e) {
+          EXPECT_EQ(std::string(e.what()), message) << "int8=" << int8;
+        }
+      }
+    }
   }
   with_u32("huge tensor count", 9, 0xFFFFFFFFu);
   with_i64("negative arena size", layout.n_weights, -1);
